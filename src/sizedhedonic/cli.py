@@ -296,7 +296,7 @@ def _build_parser() -> _Parser:
     p.add_argument("game")
     p.set_defaults(handler=_cmd_exists)
 
-    p = sub.add_parser("maxwelfare", help="maximize social welfare by enumeration")
+    p = sub.add_parser("maxwelfare", help="maximize social welfare by branch and bound")
     common(p, concept=False)
     p.add_argument("--max-n", type=int, default=12)
     p.add_argument("game")

@@ -1,19 +1,37 @@
 """Exhaustive enumeration of size-bounded partitions and brute-force oracles.
 
-The enumeration is canonical and duplicate-free: the lowest unassigned agent
-always leads the next coalition, and its candidate coalitions are tried in
-lexicographic order of their member tuples, so the stream of partitions is
-strictly increasing under the canonical key.  Branches whose residual agent
-count cannot be partitioned within the bounds are pruned arithmetically.
+All three oracles run one leader-first depth-first search (``_search``): the
+lowest unassigned agent always leads the next coalition, and its candidate
+coalitions are tried in lexicographic order of their member tuples, so the
+partitions are reached strictly increasing under the canonical key and none
+twice.  Branches whose residual agent count cannot be partitioned within the
+bounds are pruned arithmetically.  Each caller passes a prune hook that
+rejects a candidate or returns a value, which the search keeps beside the
+coalition on its stack.
 
-``exists_stable`` additionally prunes branches in which two already-completed
-coalitions induce a blocking deviation; such a deviation survives in every
-completion of the branch, so the pruning is exact and the first partition
-found is the same one a filtered full enumeration would report.
+``enumerate_partitions`` prunes nothing else and yields every leaf.
+
+``exists_stable`` rejects a candidate that blocks itself through a new
+singleton or that induces a blocking deviation with an already-completed
+coalition; such a deviation survives in every completion of the branch, so
+the pruning is exact and the first leaf is the same partition a filtered
+full enumeration would report.
+
+``max_welfare_partition`` is a branch and bound.  It keeps the welfare of
+the completed coalitions and rejects a candidate when that welfare, plus
+the candidate's, plus an optimistic bound on the remaining agents is at most
+the best welfare found so far.  The bound gives each remaining agent the sum
+of its U-1 largest positive valuations toward the other remaining agents: an
+agent has at most U-1 partners, so its utility in any completion is no
+larger.  No pruned branch holds a partition of strictly greater welfare, and
+the best is replaced only on strictly greater welfare, so the result is the
+first maximum-welfare partition in canonical order, as a full enumeration
+would find it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import Game, Partition, SizeBounds, feasible_partition_exists
@@ -28,11 +46,18 @@ class BudgetExceededError(RuntimeError):
 class EnumerationBudget:
     """Desk-scale guard rails for the exponential oracles.
 
-    ``max_partitions`` caps the number of enumeration steps (partitions
-    yielded, or search nodes visited by ``exists_stable``).  When
-    ``abort_on_exceed`` is unset the stream simply ends at the cap instead of
-    raising, which makes verdicts past the cap unreliable; the default is to
-    abort.
+    ``max_partitions`` caps the steps each oracle takes:
+
+    - ``enumerate_partitions``: partitions yielded;
+    - ``exists_stable``: candidate coalitions tried, each counted before its
+      size-feasibility test;
+    - ``max_welfare_partition``: complete partitions the search reaches;
+      branch and bound reaches no more than a full enumeration yields.
+
+    ``exists_stable`` and ``max_welfare_partition`` always raise
+    ``BudgetExceededError`` at the cap, since a truncated search is no
+    verdict.  ``abort_on_exceed`` applies to ``enumerate_partitions`` only:
+    when unset, the stream simply ends at the cap instead of raising.
     """
 
     max_agents: int = 12
@@ -47,23 +72,15 @@ class EnumerationBudget:
 DEFAULT_BUDGET = EnumerationBudget()
 
 
-class _Counter:
-    __slots__ = ("steps", "budget")
+def _checked_budget(n: int, budget: EnumerationBudget | None) -> EnumerationBudget:
+    budget = budget or DEFAULT_BUDGET
+    if n > budget.max_agents:
+        raise BudgetExceededError(f"n={n} exceeds budget.max_agents={budget.max_agents}")
+    return budget
 
-    def __init__(self, budget: EnumerationBudget) -> None:
-        self.steps = 0
-        self.budget = budget
 
-    def tick(self) -> bool:
-        """Account one step; False means the quiet cap was reached."""
-        self.steps += 1
-        if self.steps > self.budget.max_partitions:
-            if self.budget.abort_on_exceed:
-                raise BudgetExceededError(
-                    f"enumeration exceeded {self.budget.max_partitions} steps"
-                )
-            return False
-        return True
+def _exceeded(cap: float) -> BudgetExceededError:
+    return BudgetExceededError(f"enumeration exceeded {cap} steps")
 
 
 def _coalition_candidates(leader: int, rest: list[int], bounds: SizeBounds):
@@ -71,52 +88,92 @@ def _coalition_candidates(leader: int, rest: list[int], bounds: SizeBounds):
     lo, hi = bounds.lower, bounds.upper
     if lo <= 1:
         yield (leader,)
-    combo = [leader]
-
-    def extend(start: int):
-        for i in range(start, len(rest)):
-            if len(combo) + (len(rest) - i) < lo:
-                break  # even taking everything left cannot reach the lower bound
-            combo.append(rest[i])
-            if len(combo) >= lo:
-                yield tuple(combo)
-            if len(combo) < hi:
-                yield from extend(i + 1)
-            combo.pop()
-
     if hi >= 2:
-        yield from extend(0)
+        yield from _extensions([leader], rest, 0, lo, hi)
 
 
-def _partitions(avail: list[int], bounds: SizeBounds):
-    if not avail:
-        yield ()
+def _extensions(combo: list[int], rest: list[int], start: int, lo: int, hi: int):
+    # a module-level generator: a nested one that calls itself is a reference
+    # cycle, left for the garbage collector at every search node
+    for i in range(start, len(rest)):
+        if len(combo) + (len(rest) - i) < lo:
+            break  # even taking everything left cannot reach the lower bound
+        combo.append(rest[i])
+        if len(combo) >= lo:
+            yield tuple(combo)
+        if len(combo) < hi:
+            yield from _extensions(combo, rest, i + 1, lo, hi)
+        combo.pop()
+
+
+def _search(n: int, bounds: SizeBounds, admit=None, max_tried: float = math.inf):
+    """Leader-first DFS over the bound-respecting partitions of agents 1..n.
+
+    ``admit(cand, avail, chosen)`` sees a size-feasible candidate coalition,
+    the agents still unassigned (``cand`` included) and the stack of
+    ``(coalition, value)`` pairs chosen so far.  It returns None to prune the
+    candidate, or the value to keep beside it on the stack; without a hook
+    every candidate is kept with the value None.  Yields the stack, which is
+    reused, at every complete partition.  Raises ``BudgetExceededError`` once
+    more than ``max_tried`` candidates have been tried.
+    """
+    chosen: list[tuple[tuple[int, ...], object]] = []
+    if n == 0:
+        yield chosen
         return
-    leader, rest = avail[0], avail[1:]
-    for cand in _coalition_candidates(leader, rest, bounds):
-        remaining_count = len(avail) - len(cand)
-        if remaining_count and not feasible_partition_exists(remaining_count, bounds):
-            continue
-        chosen = set(cand)
-        remaining = [a for a in rest if a not in chosen]
-        for tail in _partitions(remaining, bounds):
-            yield (cand,) + tail
+    fits = [True] + [feasible_partition_exists(r, bounds) for r in range(1, n + 1)]
+    tried = 0
+    value = None
+    avail = list(range(1, n + 1))
+    frames = [(avail, _coalition_candidates(1, avail[1:], bounds))]
+    while frames:
+        avail, cands = frames[-1]
+        for cand in cands:
+            tried += 1
+            if tried > max_tried:
+                raise _exceeded(max_tried)
+            remaining = len(avail) - len(cand)
+            if not fits[remaining]:
+                continue
+            if admit is not None:
+                value = admit(cand, avail, chosen)
+                if value is None:
+                    continue
+            chosen.append((cand, value))
+            if not remaining:
+                yield chosen
+                chosen.pop()
+                continue
+            rest = [a for a in avail if a not in cand]
+            frames.append((rest, _coalition_candidates(rest[0], rest[1:], bounds)))
+            break
+        else:
+            frames.pop()
+            if chosen:
+                chosen.pop()
+
+
+def _coalitions(chosen: list[tuple[tuple[int, ...], object]]) -> list[tuple[int, ...]]:
+    # a list, not tuple() over a generator: that leaves its over-allocated
+    # tuples on the interpreter's free list, about 170 KB per enumeration
+    return [c for c, _ in chosen]
 
 
 def enumerate_partitions(
     n: int, bounds: SizeBounds, budget: EnumerationBudget | None = None
 ):
     """Yield every bound-respecting partition of agents 1..n exactly once."""
-    budget = budget or DEFAULT_BUDGET
-    if n > budget.max_agents:
-        raise BudgetExceededError(f"n={n} exceeds budget.max_agents={budget.max_agents}")
-    counter = _Counter(budget)
+    budget = _checked_budget(n, budget)
 
     def stream():
-        for raw in _partitions(list(range(1, n + 1)), bounds):
-            if not counter.tick():
+        yielded = 0
+        for chosen in _search(n, bounds):
+            if yielded == budget.max_partitions:
+                if budget.abort_on_exceed:
+                    raise _exceeded(budget.max_partitions)
                 return
-            yield Partition(raw)
+            yielded += 1
+            yield Partition(_coalitions(chosen))
 
     return stream()
 
@@ -189,48 +246,23 @@ def exists_stable(
     prunes branches as soon as two completed coalitions block each other,
     which keeps structured instances with dozens of agents tractable.
     """
-    budget = budget or DEFAULT_BUDGET
-    if game.n > budget.max_agents:
-        raise BudgetExceededError(
-            f"n={game.n} exceeds budget.max_agents={budget.max_agents}"
-        )
-    counter = _Counter(budget)
-    done: list[tuple[tuple[int, ...], dict[int, int]]] = []
+    budget = _checked_budget(game.n, budget)
 
-    def search(avail: list[int]) -> tuple[tuple[int, ...], ...] | None:
-        if not avail:
-            return tuple(c for c, _ in done)
-        leader, rest = avail[0], avail[1:]
-        for cand in _coalition_candidates(leader, rest, bounds):
-            if not counter.tick():
+    def admit(cand, avail, done):
+        utils = _utilities(game, cand)
+        if _blocks_new_singleton(game, bounds, concept, cand, utils):
+            return None
+        for other, other_utils in done:
+            if _blocks_into(game, bounds, concept, cand, utils, other) or _blocks_into(
+                game, bounds, concept, other, other_utils, cand
+            ):
                 return None
-            remaining_count = len(avail) - len(cand)
-            if remaining_count and not feasible_partition_exists(remaining_count, bounds):
-                continue
-            utils = _utilities(game, cand)
-            if _blocks_new_singleton(game, bounds, concept, cand, utils):
-                continue
-            conflict = False
-            for other, other_utils in done:
-                if _blocks_into(game, bounds, concept, cand, utils, other) or _blocks_into(
-                    game, bounds, concept, other, other_utils, cand
-                ):
-                    conflict = True
-                    break
-            if conflict:
-                continue
-            chosen = set(cand)
-            done.append((cand, utils))
-            found = search([a for a in rest if a not in chosen])
-            done.pop()
-            if found is not None:
-                return found
-        return None
+        return utils
 
-    raw = search(list(range(1, game.n + 1)))
-    if raw is None:
+    leaf = next(_search(game.n, bounds, admit, budget.max_partitions), None)
+    if leaf is None:
         return None
-    partition = Partition(raw)
+    partition = Partition(_coalitions(leaf))
     report = verify(game, partition, bounds, concept)
     if not report.stable:  # pragma: no cover - incremental checks cover all pairs
         raise RuntimeError("search returned a partition the verifier rejects")
@@ -247,14 +279,52 @@ def max_welfare_partition(
     arbitrary games it is stable for feasible contractual-individual
     deviations, because any such deviation strictly raises welfare.
     """
-    best: Partition | None = None
-    best_welfare = None
-    for partition in enumerate_partitions(game.n, bounds, budget):
-        welfare = 0
-        for coalition in partition:
-            for a in coalition:
-                row = game.row(a)
-                welfare += sum(row[b] for b in coalition if b != a)
-        if best_welfare is None or welfare > best_welfare:
-            best, best_welfare = partition, welfare
-    return best
+    budget = _checked_budget(game.n, budget)
+    partners = bounds.upper - 1
+    # each agent's positive valuations, largest first
+    liked = {}
+    for a in game.agents:
+        row = game.row(a)
+        liked[a] = sorted(
+            ((row[b], b) for b in game.agents if b != a and row[b] > 0), reverse=True
+        )
+    optimistic: dict[tuple[int, ...], int] = {}  # remaining agents -> bound
+    best_welfare = -math.inf
+    reached = 0
+
+    def bound(rest: tuple[int, ...]) -> int:
+        members = set(rest)
+        total = 0
+        for a in rest:
+            room = partners
+            for value, b in liked[a]:
+                if not room:
+                    break
+                if b in members:
+                    total += value
+                    room -= 1
+        return total
+
+    def admit(cand, avail, done):
+        # the value kept beside a coalition is the welfare of the stack up to it
+        nonlocal reached
+        welfare = done[-1][1] if done else 0
+        for a in cand:
+            row = game.row(a)
+            welfare += sum(row[b] for b in cand if b != a)
+        if len(cand) == len(avail):
+            reached += 1
+            if reached > budget.max_partitions:
+                raise _exceeded(budget.max_partitions)
+            return welfare if welfare > best_welfare else None
+        rest = tuple(a for a in avail if a not in cand)
+        cap = optimistic.get(rest)
+        if cap is None:
+            cap = optimistic[rest] = bound(rest)
+        return welfare if welfare + cap > best_welfare else None
+
+    best = None
+    for chosen in _search(game.n, bounds, admit):
+        best = _coalitions(chosen)
+        best_welfare = chosen[-1][1] if chosen else 0
+    return None if best is None else Partition(best)

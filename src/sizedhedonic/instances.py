@@ -53,9 +53,10 @@ def star_no_cis(lower: int) -> Game:
     """Simple symmetric star on 2*lower agents; leaves 1..2*lower-1, center last.
 
     The center values every leaf 1 (mutually); leaves are mutually
-    indifferent.  With bounds (lower, upper) for any upper > lower >= 2 this
-    game has no contractually individually stable partition, although
-    feasible-CIS partitions exist.
+    indifferent.  With bounds (lower, upper) for any lower < upper < 2*lower
+    this game has no contractually individually stable partition, although
+    feasible-CIS partitions exist.  Once the upper bound reaches the 2*lower
+    agents, the grand coalition is stable.
     """
     if lower < 2:
         raise ValueError("construction needs a lower bound of at least 2")
@@ -71,8 +72,9 @@ def cycle_no_is_star(n: int) -> Game:
     """Simple directed cycle: agent i values its successor (i mod n) + 1 at 1.
 
     With bounds whose lower and upper both fail to divide n (and
-    2 <= lower < upper), no feasible-IS partition exists.  The divisibility
-    condition is the caller's responsibility.
+    2 <= lower < upper < n), no feasible-IS partition exists.  The divisibility
+    condition is the caller's responsibility.  Once the upper bound exceeds
+    n, the grand coalition is stable.
     """
     if n < 1:
         raise ValueError("need at least one agent")
@@ -85,7 +87,8 @@ def pairs_triangle_no_cns_star(lower: int) -> Game:
 
     Pairs are (i, lower-1+i) for i in 1..lower-1; the triangle is the last
     three agents with arcs 1 -> 2 -> 3 -> 1.  With bounds (lower, upper) for
-    upper > lower >= 2 no feasible-CNS partition exists.
+    2 <= lower < upper <= 2*lower no feasible-CNS partition exists.  Once the
+    upper bound reaches the 2*lower + 1 agents, the grand coalition is stable.
     """
     if lower < 2:
         raise ValueError("construction needs a lower bound of at least 2")

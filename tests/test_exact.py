@@ -10,6 +10,7 @@ from sizedhedonic import (
     cycle_no_is_star,
     enumerate_partitions,
     exists_stable,
+    intro_positive,
     max_welfare_partition,
     pairs_triangle_no_cns_star,
     social_welfare,
@@ -65,6 +66,37 @@ def test_budget_enforced():
         list(enumerate_partitions(6, SizeBounds(1, 6), tight))
     quiet = EnumerationBudget(max_agents=12, max_partitions=10, abort_on_exceed=False)
     assert sum(1 for _ in enumerate_partitions(6, SizeBounds(1, 6), quiet)) == 10
+
+
+class TestHonestBudgets:
+    # a quiet cap must not turn a truncated search into a verdict
+    quiet = EnumerationBudget(max_partitions=1, abort_on_exceed=False)
+
+    def test_exists_stable_raises_at_quiet_cap(self):
+        g, b = intro_positive(3), SizeBounds(2, 3)
+        assert exists_stable(g, b, Concept.NS_STAR) is not None
+        with pytest.raises(BudgetExceededError):
+            exists_stable(g, b, Concept.NS_STAR, self.quiet)
+
+    def test_max_welfare_raises_at_quiet_cap(self):
+        with pytest.raises(BudgetExceededError):
+            max_welfare_partition(intro_positive(3), SizeBounds(2, 3), self.quiet)
+
+    @pytest.mark.parametrize(
+        "game, bounds, concept, steps",
+        [
+            (cycle_no_is_star(7), SizeBounds(2, 3), Concept.IS_STAR, 252),
+            (star_no_cis(3), SizeBounds(3, 4), Concept.CIS, 30),
+            (pairs_triangle_no_cns_star(3), SizeBounds(3, 5), Concept.CNS_STAR, 130),
+            (star_no_cis(2), SizeBounds(2, 3), Concept.CIS_STAR, 2),
+        ],
+    )
+    def test_exists_stable_step_counts_are_pinned(self, game, bounds, concept, steps):
+        # ``steps`` is the smallest cap under which the search finishes;
+        # a change to what the search counts would move budget verdicts
+        exists_stable(game, bounds, concept, EnumerationBudget(max_partitions=steps))
+        with pytest.raises(BudgetExceededError):
+            exists_stable(game, bounds, concept, EnumerationBudget(max_partitions=steps - 1))
 
 
 class TestExistsStable:
@@ -155,3 +187,18 @@ class TestMaxWelfare:
             b = random_feasible_bounds(rng, n)
             best = max_welfare_partition(g, b)
             assert verify(g, best, b, Concept.CIS_STAR).stable
+
+    @pytest.mark.parametrize("values", [(0,), (-1, 0, 1), (-3, -2, -1, 0, 1, 2, 3)])
+    def test_is_first_maximum_of_full_enumeration(self, rng, values):
+        # branch and bound must return the same partition, not just the same
+        # welfare, as a scan keeping the first strict maximum
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            g = random_game(rng, n, low=values[0], high=values[-1])
+            b = random_feasible_bounds(rng, n)
+            first = None
+            for p in enumerate_partitions(n, b):
+                if first is None or social_welfare(g, p) > social_welfare(g, first):
+                    first = p
+            assert max_welfare_partition(g, b) == first
+

@@ -113,6 +113,20 @@ class TestAdvertisedStabilityFacts:
             pairs_triangle_no_cns_star(3), SizeBounds(3, 4), Concept.CNS_STAR
         ) is None
 
+    @pytest.mark.parametrize(
+        "game, bounds, concept",
+        [
+            (star_no_cis(2), SizeBounds(2, 4), Concept.CIS),
+            (pairs_triangle_no_cns_star(2), SizeBounds(2, 5), Concept.CNS_STAR),
+            (cycle_no_is_star(5), SizeBounds(2, 6), Concept.IS_STAR),
+        ],
+    )
+    def test_grand_coalition_is_stable_once_upper_reaches_agent_count(
+        self, game, bounds, concept
+    ):
+        grand = Partition([list(game.agents)])
+        assert exists_stable(game, bounds, concept) == grand
+
     def test_intro_partition_matrix(self):
         b = SizeBounds(2, 4)
         pi = Partition([[1, 2], [3, 4], [5, 6]])
