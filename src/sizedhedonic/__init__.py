@@ -8,6 +8,7 @@ certificate-derived witness partitions.
 """
 
 from .algorithms import (
+    DynamicsCycleError,
     LeaderTrace,
     NotSymmetricError,
     TraceEntry,

@@ -27,6 +27,7 @@ from .model import (
     InfeasiblePartitionError,
     Partition,
     SizeBounds,
+    feasible_k_partition_exists,
     is_feasible_partition,
 )
 from .prefs import enemies, friends, top_set
@@ -35,6 +36,23 @@ from .stability import Concept, Deviation, apply_deviation, verify
 
 class NotSymmetricError(ValueError):
     """The welfare-dynamics solver only terminates on symmetric games."""
+
+
+class DynamicsCycleError(RuntimeError):
+    """Nash dynamics returned to a partition they had already visited.
+
+    ``cycle`` is the certificate of non-convergence: the partitions from the
+    first visit of the repeated one up to the step before its return.  The
+    first feasible Nash deviation of each leads to the next, and that of the
+    last leads back to the first.
+    """
+
+    def __init__(self, cycle: tuple[Partition, ...]) -> None:
+        super().__init__(
+            f"Nash dynamics cycle through {len(cycle)} partitions, "
+            f"starting at {cycle[0]!r}"
+        )
+        self.cycle = cycle
 
 
 @dataclass(frozen=True)
@@ -179,10 +197,6 @@ def cns_pairs(game: Game) -> Partition:
     return Partition(pairs)
 
 
-def _k_partition_possible(n: int, k: int, bounds: SizeBounds) -> bool:
-    return k * bounds.lower <= n <= k * bounds.upper
-
-
 def cis_star_nonzero(game: Game, bounds: SizeBounds, k: int) -> Partition | None:
     """Feasible-CIS partition into k coalitions for nonzero valuations.
 
@@ -208,7 +222,7 @@ def cis_star_nonzero(game: Game, bounds: SizeBounds, k: int) -> Partition | None
     if not game.is_nonzero():
         raise ValueError("requires nonzero valuations between all agent pairs")
     n = game.n
-    if not _k_partition_possible(n, k, bounds):
+    if n < 1 or not feasible_k_partition_exists(n, k, bounds):
         return None
     available: set[int] = set(game.agents)
     x = n - bounds.lower * k
@@ -250,7 +264,7 @@ def cis_star_nonneg(game: Game, bounds: SizeBounds, k: int) -> Partition | None:
     if not game.is_nonnegative():
         raise ValueError("requires nonnegative valuations between all agent pairs")
     n = game.n
-    if not _k_partition_possible(n, k, bounds):
+    if n < 1 or not feasible_k_partition_exists(n, k, bounds):
         return None
     lo, hi = bounds.lower, bounds.upper
     available: set[int] = set(game.agents)
@@ -289,9 +303,15 @@ def dynamics_steps(
     """Repeatedly apply the first feasible Nash deviation in scan order.
 
     Yields (deviation, deviator's utility gain, resulting partition) per
-    step and stops at a fixed point.  Termination is only guaranteed for
-    symmetric games, where every step raises social welfare.
+    step and stops at a fixed point.  On symmetric games every step raises
+    social welfare, so the dynamics end.  On other games the partitions
+    visited are remembered, and a step that would return to one of them
+    raises ``DynamicsCycleError`` (without yielding that step) instead of
+    running forever.
     """
+    visited: dict[Partition, int] | None = None  # partition -> step index
+    if not (game.symmetric or game.has_symmetric_table()):
+        visited = {partition: 0}
     while True:
         report = verify(game, partition, bounds, Concept.NS_STAR)
         if report.stable:
@@ -305,6 +325,10 @@ def dynamics_steps(
         if deviation.target is not None:
             after = sum(row[b] for b in partition.coalitions[deviation.target])
         partition = apply_deviation(partition, deviation)
+        if visited is not None:
+            if partition in visited:
+                raise DynamicsCycleError(tuple(visited)[visited[partition]:])
+            visited[partition] = len(visited)
         yield deviation, after - before, partition
 
 

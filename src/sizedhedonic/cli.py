@@ -8,6 +8,7 @@ Exit codes: 0 found / verified / stable; 1 not stable or nothing exists;
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from .prefs import social_welfare
 from .reductions import mmm_to_ns_is, witness_partition, x3c_to_cns, x3c_to_ns_bounded
 from .stability import Concept, Deviation, verify
 from .textio import (
-    ParseError,
     parse_cover,
     parse_game,
     parse_matching,
@@ -266,7 +266,9 @@ def _cmd_dynamics(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and reused after it."""
     parser = _Parser(prog="sizedhedonic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -328,23 +330,14 @@ def _build_parser() -> _Parser:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    # Both exit-2 errors are ValueErrors, so their clause comes first.
     except (InfeasiblePartitionError, NotSymmetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (_UsageError, BudgetExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -78,6 +78,21 @@ class Game:
                         )
         self._v = table
 
+    @classmethod
+    def _from_table(cls, n: int, table: list[list[int]], symmetric: bool) -> Game:
+        """Trusted constructor: adopt a finished valuation table as is.
+
+        ``table`` must be (n+1) rows of n+1 ints with row 0, column 0 and
+        the diagonal at 0, and symmetric when ``symmetric`` is set; none of
+        this is checked again.  For parsers that validated every entry while
+        filling the table.
+        """
+        game = cls.__new__(cls)
+        game.n = n
+        game.symmetric = symmetric
+        game._v = table
+        return game
+
     @property
     def agents(self) -> range:
         return range(1, self.n + 1)

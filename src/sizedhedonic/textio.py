@@ -45,10 +45,20 @@ def _int(token: str, number: int, what: str) -> int:
 
 
 def parse_game(text: str) -> Game:
-    rows = list(_lines(text))
-    if not rows:
+    """Parse the game format in one pass, straight into the valuation table.
+
+    Each ``v`` line is checked and written into the (n+1)² table as it is
+    read; one bytearray per row marks the pairs already given, so a repeated
+    pair (or, under ``symmetric``, either direction of a given pair) is
+    rejected on the line that repeats it.
+    """
+    rows = enumerate(text.splitlines(), start=1)
+    for number, raw in rows:
+        header = raw.split()
+        if header:
+            break
+    else:
         raise ParseError(1, "empty input, expected an 'ashg' header")
-    number, header = rows[0]
     if header[0] != "ashg" or len(header) not in (2, 3):
         raise ParseError(number, "expected header 'ashg <n> [symmetric]'")
     n = _int(header[1], number, "agent count")
@@ -59,28 +69,39 @@ def parse_game(text: str) -> Game:
         if header[2] != "symmetric":
             raise ParseError(number, f"unknown header flag {header[2]!r}")
         symmetric = True
-    vals: dict[tuple[int, int], int] = {}
-    for number, tokens in rows[1:]:
-        if tokens[0] != "v" or len(tokens) != 4:
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    seen = [bytearray(n + 1) for _ in range(n + 1)]
+    for number, raw in rows:
+        tokens = raw.split()
+        if len(tokens) != 4 or tokens[0] != "v":
+            if not tokens:
+                continue
             raise ParseError(number, "expected 'v <i> <j> <w>'")
-        i = _int(tokens[1], number, "agent id")
-        j = _int(tokens[2], number, "agent id")
-        w = _int(tokens[3], number, "valuation")
+        _, si, sj, sw = tokens
+        try:
+            i, j, w = int(si), int(sj), int(sw)
+        except ValueError:
+            i = _int(si, number, "agent id")
+            j = _int(sj, number, "agent id")
+            w = _int(sw, number, "valuation")
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(number, f"agent ids must lie in 1..{n}")
         if i == j:
             raise ParseError(number, "an agent may not value itself")
-        if (i, j) in vals:
-            if symmetric and vals[(i, j)] != w:
+        seen_i = seen[i]
+        if seen_i[j]:
+            if symmetric and table[i][j] != w:
                 raise ParseError(
                     number,
-                    f"symmetry conflict: v_{i}({j}) already set to {vals[(i, j)]}",
+                    f"symmetry conflict: v_{i}({j}) already set to {table[i][j]}",
                 )
             raise ParseError(number, f"duplicate valuation for pair ({i}, {j})")
-        vals[(i, j)] = w
+        seen_i[j] = 1
+        table[i][j] = w
         if symmetric:
-            vals[(j, i)] = w
-    return Game(n, vals, symmetric=symmetric)
+            seen[j][i] = 1
+            table[j][i] = w
+    return Game._from_table(n, table, symmetric)
 
 
 def serialize_game(game: Game) -> str:

@@ -2,6 +2,7 @@ import pytest
 
 from sizedhedonic import (
     Concept,
+    DynamicsCycleError,
     InfeasiblePartitionError,
     NotSymmetricError,
     Partition,
@@ -12,17 +13,20 @@ from sizedhedonic import (
     cis_star_nonzero,
     cis_upper,
     cns_pairs,
+    cycle_no_is_star,
     dynamics_steps,
     exists_stable,
     feasible_k_partition_exists,
     intro_negative,
     intro_positive,
     max_welfare_partition,
+    singleton_partition,
     social_welfare,
     star_no_cis,
     symmetric_dynamics,
     verify,
 )
+from sizedhedonic.stability import apply_deviation
 from sizedhedonic.model import Game
 
 from conftest import random_feasible_bounds, random_feasible_partition, random_game
@@ -182,6 +186,11 @@ class TestCisStarNonzero:
                 assert out is None
 
 
+def test_k_coalition_solvers_decline_the_empty_game():
+    for solver in (cis_star_nonzero, cis_star_nonneg):
+        assert solver(Game(0), SizeBounds(2, 3), 1) is None
+
+
 class TestCisStarNonneg:
     def test_all_zero_game(self):
         g = Game(6)
@@ -270,3 +279,41 @@ class TestSymmetricDynamics:
             assert verify(g, final, b, Concept.NS_STAR).stable
             best = social_welfare(g, max_welfare_partition(g, b))
             assert steps <= max(0, best - social_welfare(g, init))
+
+
+class TestDynamicsCycle:
+    def test_directed_triangle_cycle_is_reported(self):
+        g, b = cycle_no_is_star(3), SizeBounds(1, 2)
+        steps = []
+        with pytest.raises(DynamicsCycleError) as info:
+            for _, _, after in dynamics_steps(g, b, singleton_partition(3)):
+                steps.append(after)
+        cycle = info.value.cycle
+        assert cycle == (
+            Partition([[1, 2], [3]]),
+            Partition([[1], [2, 3]]),
+            Partition([[1, 3], [2]]),
+        )
+        assert steps == list(cycle)
+        for here, there in zip(cycle, cycle[1:] + cycle[:1]):
+            witness = verify(g, here, b, Concept.NS_STAR).witness
+            assert apply_deviation(here, witness) == there
+
+    def test_random_nonsymmetric_dynamics_end_or_report_a_true_cycle(self, rng):
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            g = random_game(rng, n)
+            b = random_feasible_bounds(rng, n)
+            init = random_feasible_partition(rng, n, b)
+            seen = [init]
+            try:
+                for _, _, after in dynamics_steps(g, b, init):
+                    assert after not in seen
+                    seen.append(after)
+            except DynamicsCycleError as exc:
+                start = seen.index(exc.cycle[0])
+                assert tuple(seen[start:]) == exc.cycle
+                witness = verify(g, seen[-1], b, Concept.NS_STAR).witness
+                assert apply_deviation(seen[-1], witness) == exc.cycle[0]
+            else:
+                assert verify(g, seen[-1], b, Concept.NS_STAR).stable

@@ -235,6 +235,14 @@ class TestOtherCommands:
         )
         assert code == 3
 
+    def test_repeated_runs_share_no_state(self, capsys):
+        code, out, _ = invoke(capsys, "gen", "--family", "intro_positive", "--param", "k=3")
+        assert code == 0 and parse_game(out) == intro_positive(3)
+        code, out, err = invoke(capsys, "solve", "--concept", "cis", "--bounds", "1:4")
+        assert (code, out) == (3, "") and err.startswith("error: ")
+        code, out, _ = invoke(capsys, "gen", "--family", "aziz_failure")
+        assert (code, out) == (0, serialize_game(aziz_failure()))
+
     def test_usage_errors_exit_three(self, capsys):
         assert invoke(capsys, "frobnicate")[0] == 3
         assert invoke(capsys, "verify", "--concept", "zs", "--bounds", "1:2", "x", "y")[0] == 3

@@ -150,3 +150,110 @@ def test_generic_parse_dispatch(tmp_path: Path):
     assert parse(path, "game") == aziz_failure()
     with pytest.raises(ValueError):
         parse("ashg 1\n", "matrix")
+
+
+# Every ParseError of the game format, pinned by its full text: the line
+# number (counted by str.splitlines, which also breaks on \r, \x0c and
+# \u2028) and the order of the checks within a line (keyword and arity, then
+# i, j and w as integers, then range, then self-valuation, then duplicate or
+# symmetry conflict).
+GAME_PARSE_ERRORS = [
+    ("", 1, "empty input, expected an 'ashg' header"),
+    ("\n  \n\t\n", 1, "empty input, expected an 'ashg' header"),
+    ("\n\nashg two\n", 3, "agent count must be an integer, got 'two'"),
+    ("\n\n\nashg 2\nv 1 1 1\n", 5, "an agent may not value itself"),
+    ("ashg\n", 1, "expected header 'ashg <n> [symmetric]'"),
+    ("graph 2\n", 1, "expected header 'ashg <n> [symmetric]'"),
+    ("ashg 2 symmetric extra\n", 1, "expected header 'ashg <n> [symmetric]'"),
+    ("ashg two\n", 1, "agent count must be an integer, got 'two'"),
+    ("ashg -1\n", 1, "agent count must be nonnegative"),
+    ("ashg 2 lopsided\n", 1, "unknown header flag 'lopsided'"),
+    ("ashg 2\nv 1 2\n", 2, "expected 'v <i> <j> <w>'"),
+    ("ashg 2\nv 1 2 3 4\n", 2, "expected 'v <i> <j> <w>'"),
+    ("ashg 2\nw 1 2 3\n", 2, "expected 'v <i> <j> <w>'"),
+    ("ashg 2\nv 1 x 1 1\n", 2, "expected 'v <i> <j> <w>'"),
+    ("ashg 2\nv x 2 3\n", 2, "agent id must be an integer, got 'x'"),
+    ("ashg 2\nv 1 y 3\n", 2, "agent id must be an integer, got 'y'"),
+    ("ashg 2\nv 1 2 z\n", 2, "valuation must be an integer, got 'z'"),
+    ("ashg 2\nv x y z\n", 2, "agent id must be an integer, got 'x'"),
+    ("ashg 2\nv 1 9 z\n", 2, "valuation must be an integer, got 'z'"),
+    ("ashg 2\nv 1 2 1.5\n", 2, "valuation must be an integer, got '1.5'"),
+    ("ashg 2\nv 1 3 1\n", 2, "agent ids must lie in 1..2"),
+    ("ashg 2\nv 0 1 1\n", 2, "agent ids must lie in 1..2"),
+    ("ashg 2\nv 3 3 1\n", 2, "agent ids must lie in 1..2"),
+    ("ashg 0\nv 1 2 3\n", 2, "agent ids must lie in 1..0"),
+    ("ashg 2\nv 1 1 1\n", 2, "an agent may not value itself"),
+    ("ashg 2\nv 1 2 3\n\nv 1 2 3\n", 4, "duplicate valuation for pair (1, 2)"),
+    ("ashg 2\nv 1 2 3\nv 1 2 4\n", 3, "duplicate valuation for pair (1, 2)"),
+    ("ashg 2 symmetric\nv 1 2 3\nv 2 1 3\n", 3, "duplicate valuation for pair (2, 1)"),
+    ("ashg 2 symmetric\nv 1 2 3\nv 2 1 4\n", 3, "symmetry conflict: v_2(1) already set to 3"),
+    ("ashg 2 symmetric\nv 1 2 3\nv 1 2 4\n", 3, "symmetry conflict: v_1(2) already set to 3"),
+    ("ashg 2 symmetric\nv 1 2 0\nv 2 1 5\n", 3, "symmetry conflict: v_2(1) already set to 0"),
+    ("ashg 2 symmetric\nv 1 2 3\nv 2 1 x\n", 3, "valuation must be an integer, got 'x'"),
+    ("ashg 2\x0c\x0cv 1 2 x", 3, "valuation must be an integer, got 'x'"),
+    ("ashg 2\r\nv 1 1 1\rv 1 3 1", 2, "an agent may not value itself"),
+    ("ashg 2\rv 1 2 1\rv 1 3 1", 3, "agent ids must lie in 1..2"),
+    ("ashg 2\u2028\nv 1 2 q", 3, "valuation must be an integer, got 'q'"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", GAME_PARSE_ERRORS)
+def test_game_parse_error_text_and_line(text, line, message):
+    with pytest.raises(ParseError) as info:
+        parse_game(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {message}"
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_parse_game_matches_game_from_its_lines(data):
+    """A valid game text parses to the Game built from its valuation lines."""
+    n = data.draw(st.integers(0, 8), label="n")
+    symmetric = data.draw(st.booleans(), label="symmetric")
+    if symmetric:
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    else:
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    lines = []
+    vals: dict[tuple[int, int], int] = {}
+    for a, b in chosen:
+        if symmetric and data.draw(st.booleans()):
+            a, b = b, a
+        w = data.draw(st.integers(-50, 50))
+        vals[(a, b)] = w
+        if symmetric:
+            vals[(b, a)] = w
+        lines.append(f"v {a} {b} {w}")
+    lines = data.draw(st.permutations(lines))
+    blanks = st.sampled_from(["", "  ", "\t"])
+    body = []
+    for line in lines:
+        body += data.draw(st.lists(blanks, max_size=2))
+        body.append(line)
+    header = f"ashg {n}" + (" symmetric" if symmetric else "")
+    text = "\n".join([*data.draw(st.lists(blanks, max_size=2)), header, *body]) + "\n"
+    game = parse_game(text)
+    assert game == Game(n, vals, symmetric=symmetric)
+    if symmetric:
+        assert game.has_symmetric_table()
+
+
+def test_round_trip_at_two_hundred_agents():
+    import random
+
+    rng = random.Random(200)
+    n = 200
+    vals = {
+        (a, b): rng.randint(-9, 9)
+        for a in range(1, n + 1)
+        for b in range(1, n + 1)
+        if a != b and rng.random() < 0.5
+    }
+    g = Game(n, vals)
+    assert parse_game(serialize_game(g)) == g
+    sym = {(a, b): w for (a, b), w in vals.items() if a < b}
+    sym.update({(b, a): w for (a, b), w in sym.items()})
+    s = Game(n, sym, symmetric=True)
+    assert parse_game(serialize_game(s)) == s
