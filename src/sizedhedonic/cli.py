@@ -142,11 +142,11 @@ def _cmd_solve(args) -> int:
             if hi < 2:
                 return _no_algorithm(f"no algorithm for CIS* with bounds {bounds}")
             partition, _ = cis_upper(game, hi)
-        elif game.is_nonzero() or game.is_nonnegative():
+        elif (nonzero := game.is_nonzero()) or game.is_nonnegative():
             k = args.k if args.k is not None else game.n // lo
             if k < 1:
                 return _no_algorithm(f"no partition of {game.n} agents within {bounds}")
-            solver = cis_star_nonzero if game.is_nonzero() else cis_star_nonneg
+            solver = cis_star_nonzero if nonzero else cis_star_nonneg
             partition = solver(game, bounds, k)
             if partition is None:
                 return _no_algorithm(

@@ -4,10 +4,12 @@ All three oracles run one leader-first depth-first search (``_search``): the
 lowest unassigned agent always leads the next coalition, and its candidate
 coalitions are tried in lexicographic order of their member tuples, so the
 partitions are reached strictly increasing under the canonical key and none
-twice.  Branches whose residual agent count cannot be partitioned within the
-bounds are pruned arithmetically.  Each caller passes a prune hook that
-rejects a candidate or returns a value, which the search keeps beside the
-coalition on its stack.
+twice.  The candidates come from one loop over a stack of indices.  Branches
+whose residual agent count cannot be partitioned within the bounds are
+pruned arithmetically.  Each caller passes a prune hook that rejects a
+candidate or returns a value, which the search keeps beside the coalition on
+its stack.  The leaves a caller keeps become ``Partition`` objects through a
+trusted constructor, since the search builds them in canonical form.
 
 ``enumerate_partitions`` prunes nothing else and yields every leaf.
 
@@ -15,7 +17,13 @@ coalition on its stack.
 singleton or that induces a blocking deviation with an already-completed
 coalition; such a deviation survives in every completion of the branch, so
 the pruning is exact and the first leaf is the same partition a filtered
-full enumeration would report.
+full enumeration would report.  The value kept beside each coalition is its
+mover record: for each member allowed to leave (the feasible variants'
+size rule permits it and no member left behind vetoes), its utility, its
+valuation row and, under joined consent, the agents who value it
+negatively and so veto its arrival.  A pair test then costs one sum over
+the target per mover and one disjointness test.  The final leaf is still
+checked with ``verify``.
 
 ``max_welfare_partition`` is a branch and bound.  It keeps the welfare of
 the completed coalitions and rejects a candidate when that welfare, plus
@@ -84,26 +92,38 @@ def _exceeded(cap: float) -> BudgetExceededError:
 
 
 def _coalition_candidates(leader: int, rest: list[int], bounds: SizeBounds):
-    """Candidate coalitions for ``leader``, in lexicographic member order."""
+    """Candidate coalitions for ``leader``, in lexicographic member order.
+
+    One loop over a stack of indices into ``rest``: a prefix comes before
+    its extensions, and a prefix that cannot reach the lower bound even by
+    taking everything left is abandoned.
+    """
     lo, hi = bounds.lower, bounds.upper
     if lo <= 1:
         yield (leader,)
-    if hi >= 2:
-        yield from _extensions([leader], rest, 0, lo, hi)
-
-
-def _extensions(combo: list[int], rest: list[int], start: int, lo: int, hi: int):
-    # a module-level generator: a nested one that calls itself is a reference
-    # cycle, left for the garbage collector at every search node
-    for i in range(start, len(rest)):
-        if len(combo) + (len(rest) - i) < lo:
-            break  # even taking everything left cannot reach the lower bound
-        combo.append(rest[i])
-        if len(combo) >= lo:
-            yield tuple(combo)
-        if len(combo) < hi:
-            yield from _extensions(combo, rest, i + 1, lo, hi)
+    if hi < 2:
+        return
+    m = len(rest)
+    combo = [leader]
+    picked: list[int] = []  # the index in ``rest`` of each member after the leader
+    i = 0
+    while True:
+        if len(combo) == hi - 1:
+            # the last member: each agent left completes a candidate
+            prefix = tuple(combo)
+            for b in rest[i:]:
+                yield prefix + (b,)
+        elif i < m and len(combo) + m - i >= lo:
+            combo.append(rest[i])
+            if len(combo) >= lo:
+                yield tuple(combo)
+            picked.append(i)
+            i += 1
+            continue
+        if not picked:
+            return
         combo.pop()
+        i = picked.pop() + 1
 
 
 def _search(n: int, bounds: SizeBounds, admit=None, max_tried: float = math.inf):
@@ -173,65 +193,9 @@ def enumerate_partitions(
                     raise _exceeded(budget.max_partitions)
                 return
             yielded += 1
-            yield Partition(_coalitions(chosen))
+            yield Partition._from_canonical(_coalitions(chosen))
 
     return stream()
-
-
-def _utilities(game: Game, members: tuple[int, ...]) -> dict[int, int]:
-    out = {}
-    for a in members:
-        row = game.row(a)
-        out[a] = sum(row[b] for b in members if b != a)
-    return out
-
-
-def _blocks_into(
-    game: Game,
-    bounds: SizeBounds,
-    concept: Concept,
-    source: tuple[int, ...],
-    source_utils: dict[int, int],
-    target: tuple[int, ...],
-) -> bool:
-    """Whether some member of ``source`` has a blocking deviation into ``target``."""
-    if len(target) + 1 > bounds.upper:
-        return False
-    if concept.feasible_variant and len(source) != 1 and len(source) - 1 < bounds.lower:
-        return False
-    for a in source:
-        row = game.row(a)
-        gain = sum(row[b] for b in target) - source_utils[a]
-        if gain <= 0:
-            continue
-        if concept.joined_consent and any(game.row(b)[a] < 0 for b in target):
-            continue
-        if concept.abandoned_consent and any(
-            game.row(b)[a] > 0 for b in source if b != a
-        ):
-            continue
-        return True
-    return False
-
-
-def _blocks_new_singleton(
-    game: Game,
-    bounds: SizeBounds,
-    concept: Concept,
-    source: tuple[int, ...],
-    source_utils: dict[int, int],
-) -> bool:
-    if bounds.lower != 1 or len(source) == 1:
-        return False
-    for a in source:
-        if source_utils[a] >= 0:
-            continue
-        if concept.abandoned_consent and any(
-            game.row(b)[a] > 0 for b in source if b != a
-        ):
-            continue
-        return True
-    return False
 
 
 def exists_stable(
@@ -247,22 +211,63 @@ def exists_stable(
     which keeps structured instances with dozens of agents tractable.
     """
     budget = _checked_budget(game.n, budget)
+    lower, upper = bounds.lower, bounds.upper
+    strand_guard = concept.feasible_variant
+    rows = [game.row(a) for a in range(game.n + 1)]
+
+    def veto_holders(consent: bool, sign: int) -> list[frozenset[int]]:
+        # per agent, who may veto its moves: those whose valuation of it has
+        # ``sign``, or nobody when the concept gives no such consent
+        if not consent:
+            return [frozenset()] * (game.n + 1)
+        return [
+            frozenset(b for b in game.agents if sign * rows[b][a] > 0)
+            for a in range(game.n + 1)
+        ]
+
+    abandoned_vetoes = veto_holders(concept.abandoned_consent, 1)
+    joined_vetoes = veto_holders(concept.joined_consent, -1)
+
+    def movers(cand):
+        # (utility, valuation lookup, joined-consent vetoes) of each member
+        # allowed to leave ``cand``: the feasible variants forbid stranding it
+        # below the lower bound, and nobody left behind may veto.  The
+        # diagonal of the table is 0, so a sum over the whole coalition is the
+        # member's utility.
+        size = len(cand)
+        if strand_guard and size != 1 and size - 1 < lower:
+            return []
+        record = []
+        for a in cand:
+            if abandoned_vetoes[a].isdisjoint(cand):
+                value = rows[a].__getitem__
+                record.append((sum(map(value, cand)), value, joined_vetoes[a]))
+        return record
+
+    def blocks_into(record, target):
+        # whether a mover in ``record`` strictly gains by joining the existing
+        # coalition ``target`` and nobody there vetoes
+        if len(target) >= upper:
+            return False
+        for utility, value, vetoes in record:
+            if sum(map(value, target)) > utility and vetoes.isdisjoint(target):
+                return True
+        return False
 
     def admit(cand, avail, done):
-        utils = _utilities(game, cand)
-        if _blocks_new_singleton(game, bounds, concept, cand, utils):
-            return None
-        for other, other_utils in done:
-            if _blocks_into(game, bounds, concept, cand, utils, other) or _blocks_into(
-                game, bounds, concept, other, other_utils, cand
-            ):
+        # the value kept beside a coalition is its movers record
+        record = movers(cand)
+        if lower == 1 and len(cand) > 1 and any(u < 0 for u, _, _ in record):
+            return None  # a mover gains by leaving for a new singleton
+        for other, other_record in done:
+            if blocks_into(record, other) or blocks_into(other_record, cand):
                 return None
-        return utils
+        return record
 
     leaf = next(_search(game.n, bounds, admit, budget.max_partitions), None)
     if leaf is None:
         return None
-    partition = Partition(_coalitions(leaf))
+    partition = Partition._from_canonical(_coalitions(leaf))
     report = verify(game, partition, bounds, concept)
     if not report.stable:  # pragma: no cover - incremental checks cover all pairs
         raise RuntimeError("search returned a partition the verifier rejects")
@@ -327,4 +332,4 @@ def max_welfare_partition(
     for chosen in _search(game.n, bounds, admit):
         best = _coalitions(chosen)
         best_welfare = chosen[-1][1] if chosen else 0
-    return None if best is None else Partition(best)
+    return None if best is None else Partition._from_canonical(best)

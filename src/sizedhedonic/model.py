@@ -106,8 +106,9 @@ class Game:
     def row(self, a: int) -> list[int]:
         """Internal valuation row of agent ``a``, indexed by agent id.
 
-        Entry ``a`` itself is meaningless and must not be read.  Exposed for
-        hot loops; do not mutate.
+        Entry 0 and entry ``a`` itself are always 0, so a sum over a whole
+        coalition containing ``a`` is the agent's utility for it.  Exposed
+        for hot loops; do not mutate.
         """
         return self._v[a]
 
@@ -128,20 +129,11 @@ class Game:
 
     def is_nonzero(self) -> bool:
         """True iff every valuation between distinct agents is nonzero."""
-        return all(
-            self._v[a][b] != 0
-            for a in range(1, self.n + 1)
-            for b in range(1, self.n + 1)
-            if a != b
-        )
+        # each row holds exactly two zeros of its own: column 0 and the diagonal
+        return all(self._v[a].count(0) == 2 for a in range(1, self.n + 1))
 
     def is_nonnegative(self) -> bool:
-        return all(
-            self._v[a][b] >= 0
-            for a in range(1, self.n + 1)
-            for b in range(1, self.n + 1)
-            if a != b
-        )
+        return all(min(self._v[a]) >= 0 for a in range(1, self.n + 1))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Game):
@@ -193,6 +185,21 @@ class Partition:
         self.coalitions = tuple(canon)
         self.n = n
         self._index = index
+
+    @classmethod
+    def _from_canonical(cls, coalitions: list[tuple[int, ...]]) -> Partition:
+        """Trusted constructor: adopt coalitions already in canonical form.
+
+        ``coalitions`` must be nonempty ascending tuples, ordered by their
+        first member, that cover the agents 1..n once each; none of this is
+        checked again.  For searches that reach their partitions in
+        canonical order.
+        """
+        partition = cls.__new__(cls)
+        partition.coalitions = tuple(coalitions)
+        partition._index = {a: i for i, c in enumerate(coalitions) for a in c}
+        partition.n = len(partition._index)
+        return partition
 
     def coalition_of(self, agent: int) -> tuple[int, ...]:
         return self.coalitions[self._index[agent]]

@@ -1,10 +1,13 @@
 import pytest
 
+import random
+
 from sizedhedonic import (
     ALL_CONCEPTS,
     BudgetExceededError,
     Concept,
     EnumerationBudget,
+    MMMInstance,
     Partition,
     SizeBounds,
     cycle_no_is_star,
@@ -12,6 +15,7 @@ from sizedhedonic import (
     exists_stable,
     intro_positive,
     max_welfare_partition,
+    mmm_to_ns_is,
     pairs_triangle_no_cns_star,
     social_welfare,
     star_no_cis,
@@ -99,6 +103,92 @@ class TestHonestBudgets:
             exists_stable(game, bounds, concept, EnumerationBudget(max_partitions=steps - 1))
 
 
+    @pytest.mark.parametrize(
+        "game, bounds, steps",
+        [
+            (intro_positive(3), SizeBounds(2, 3), 8),
+            (random_game(random.Random(7), 8), SizeBounds(2, 4), 14),
+            (random_game(random.Random(11), 9), SizeBounds(1, 3), 16),
+            (random_game(random.Random(3), 8, symmetric=True), SizeBounds(1, 8), 25),
+        ],
+    )
+    def test_max_welfare_step_counts_are_pinned(self, game, bounds, steps):
+        # ``steps`` is the smallest cap under which branch and bound finishes
+        max_welfare_partition(game, bounds, EnumerationBudget(max_partitions=steps))
+        with pytest.raises(BudgetExceededError):
+            max_welfare_partition(game, bounds, EnumerationBudget(max_partitions=steps - 1))
+
+
+class TestTrustedLeaves:
+    # the search's leaves skip ``Partition.__init__``; each must be the
+    # partition that validated construction would give
+    def test_enumerated_partitions_equal_their_validated_rebuilds(self):
+        for n in range(1, 9):
+            for lo in range(1, n + 1):
+                for hi in range(lo, n + 1):
+                    for p in enumerate_partitions(n, SizeBounds(lo, hi)):
+                        q = Partition(p.coalitions)
+                        assert p == q and hash(p) == hash(q)
+                        assert p.n == q.n == n
+                        assert all(p.index_of(a) == q.index_of(a) for a in range(1, n + 1))
+
+    def test_oracle_results_equal_their_validated_rebuilds(self, rng):
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            g = random_game(rng, n)
+            b = random_feasible_bounds(rng, n)
+            found = [max_welfare_partition(g, b)]
+            found += [exists_stable(g, b, concept) for concept in ALL_CONCEPTS]
+            for p in filter(None, found):
+                q = Partition(p.coalitions)
+                assert p == q and hash(p) == hash(q) and p.n == q.n
+                assert all(p.index_of(a) == q.index_of(a) for a in range(1, n + 1))
+
+
+def first_stable_by_filter(game, bounds):
+    """The first stable partition per concept, scanning the full stream."""
+    first = {}
+    for p in enumerate_partitions(game.n, bounds):
+        for concept in ALL_CONCEPTS:
+            if concept not in first and verify(game, p, bounds, concept).stable:
+                first[concept] = p
+        if len(first) == len(ALL_CONCEPTS):
+            break
+    return first
+
+
+# zero-heavy games: a zero valuation never vetoes, and random games rarely
+# have enough zeros to test that rule.  The reduced games and the family
+# bounds are those of the exhaustive benchmark, up to nine agents.
+STRUCTURED = [
+    (mmm_to_ns_is(MMMInstance(2, 1, ((1, 3), (2, 4))), 2).game, SizeBounds(1, 2)),
+    (mmm_to_ns_is(MMMInstance(2, 1, ((1, 3), (2, 3))), 2).game, SizeBounds(1, 2)),
+    (star_no_cis(2), SizeBounds(2, 3)),
+    (star_no_cis(3), SizeBounds(3, 4)),
+    (star_no_cis(3), SizeBounds(3, 5)),
+    (star_no_cis(4), SizeBounds(4, 5)),
+    (star_no_cis(4), SizeBounds(4, 6)),
+    (star_no_cis(4), SizeBounds(4, 7)),
+    (pairs_triangle_no_cns_star(2), SizeBounds(2, 3)),
+    (pairs_triangle_no_cns_star(2), SizeBounds(2, 4)),
+    (pairs_triangle_no_cns_star(3), SizeBounds(3, 4)),
+    (pairs_triangle_no_cns_star(3), SizeBounds(3, 5)),
+    (pairs_triangle_no_cns_star(3), SizeBounds(3, 6)),
+    (pairs_triangle_no_cns_star(4), SizeBounds(4, 5)),
+    (pairs_triangle_no_cns_star(4), SizeBounds(4, 6)),
+    (pairs_triangle_no_cns_star(4), SizeBounds(4, 7)),
+    (cycle_no_is_star(5), SizeBounds(2, 3)),
+    (cycle_no_is_star(7), SizeBounds(2, 3)),
+    (cycle_no_is_star(7), SizeBounds(2, 4)),
+    (cycle_no_is_star(7), SizeBounds(3, 4)),
+    (cycle_no_is_star(8), SizeBounds(3, 5)),
+    (cycle_no_is_star(9), SizeBounds(4, 5)),
+    (cycle_no_is_star(9), SizeBounds(2, 4)),
+    (cycle_no_is_star(9), SizeBounds(2, 5)),
+    (cycle_no_is_star(9), SizeBounds(2, 6)),
+]
+
+
 class TestExistsStable:
     def test_nonexistence_families(self):
         b = SizeBounds(2, 3)
@@ -124,6 +214,12 @@ class TestExistsStable:
                     None,
                 )
                 assert exists_stable(g, b, concept) == naive
+
+    @pytest.mark.parametrize("game, bounds", STRUCTURED)
+    def test_matches_naive_filter_on_structured_games(self, game, bounds):
+        first = first_stable_by_filter(game, bounds)
+        for concept in ALL_CONCEPTS:
+            assert exists_stable(game, bounds, concept) == first.get(concept), concept
 
     def test_cis_always_exists_with_trivial_lower_bound(self, rng):
         for _ in range(40):

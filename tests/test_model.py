@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +47,33 @@ class TestGame:
         assert not Game(2, {(1, 2): 1}).is_nonzero()
         assert Game(2, {(1, 2): 1}).is_nonnegative()
         assert not Game(2, {(1, 2): -1}).is_nonnegative()
+
+    def test_class_predicates_match_pairwise_definitions(self):
+        # the row scans against the definitions, one pair at a time
+        def pairwise_nonzero(g):
+            return all(g.value(a, b) != 0 for a in g.agents for b in g.agents if a != b)
+
+        def pairwise_nonnegative(g):
+            return all(g.value(a, b) >= 0 for a in g.agents for b in g.agents if a != b)
+
+        rng = random.Random(0x51A7)
+        games = [Game(0), Game(1)]
+        for _ in range(150):
+            n = rng.randint(2, 7)
+            pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+            base = rng.choice([(1, 3), (-3, -1), (-3, 3), (0, 2)])
+            vals = {pair: rng.choice([w for w in range(base[0], base[1] + 1) if w]) for pair in pairs}
+            games.append(Game(n, vals))
+            # a single zero, or a single negative entry, anywhere off the diagonal
+            odd = rng.choice(pairs)
+            games.append(Game(n, {**vals, odd: 0}))
+            positive = {pair: abs(w) for pair, w in vals.items()}
+            games.append(Game(n, {**positive, odd: -rng.randint(1, 3)}))
+            games.append(Game(n, {**positive, odd: 0}))
+        for g in games:
+            assert g.is_nonzero() == pairwise_nonzero(g), g
+            assert g.is_nonnegative() == pairwise_nonnegative(g), g
+        assert Game(0).is_nonzero() and Game(1).is_nonzero() and Game(1).is_nonnegative()
 
 
 class TestPartition:
