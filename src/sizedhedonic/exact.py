@@ -6,10 +6,13 @@ coalitions are tried in lexicographic order of their member tuples, so the
 partitions are reached strictly increasing under the canonical key and none
 twice.  The candidates come from one loop over a stack of indices.  Branches
 whose residual agent count cannot be partitioned within the bounds are
-pruned arithmetically.  Each caller passes a prune hook that rejects a
-candidate or returns a value, which the search keeps beside the coalition on
-its stack.  The leaves a caller keeps become ``Partition`` objects through a
-trusted constructor, since the search builds them in canonical form.
+pruned arithmetically.  A remainder of fewer than 2L agents can only be
+closed by one coalition, all of it, so its frame tries that coalition alone
+and counts the candidates the loop would have built around it by formula.
+Each caller passes a prune hook that rejects a candidate or returns a value,
+which the search keeps beside the coalition on its stack.  The leaves a
+caller keeps become ``Partition`` objects through a trusted constructor,
+since the search builds them in canonical form.
 
 ``enumerate_partitions`` prunes nothing else and yields every leaf.
 
@@ -22,8 +25,13 @@ mover record: for each member allowed to leave (the feasible variants'
 size rule permits it and no member left behind vetoes), its utility, its
 valuation row and, under joined consent, the agents who value it
 negatively and so veto its arrival.  A pair test then costs one sum over
-the target per mover and one disjointness test.  The final leaf is still
-checked with ``verify``.
+the target per mover and one disjointness test.  With a lower bound of 1 and
+an upper bound of at least 3, the candidate loop also drops a prefix P, with
+all its extensions, when some member ``a`` that no unassigned agent can
+veto under abandoned consent has ``u_a(P) + maxpos_a * (U - |P|) < 0``
+(``maxpos_a`` its largest valuation, or 0): in every extension ``a`` gains by
+leaving for a new singleton, so the candidate-level rule would reject it
+anyway.  The final leaf is still checked with ``verify``.
 
 ``max_welfare_partition`` is a branch and bound.  It keeps the welfare of
 the completed coalitions and rejects a candidate when that welfare, plus
@@ -58,7 +66,12 @@ class EnumerationBudget:
 
     - ``enumerate_partitions``: partitions yielded;
     - ``exists_stable``: candidate coalitions tried, each counted before its
-      size-feasibility test;
+      size-feasibility test.  With a lower bound of 2 or more every
+      candidate the lexicographic loop would build is counted, including
+      those of a remainder closed by one coalition, which are counted by
+      formula rather than built.  With a lower bound of 1 and an upper bound
+      of at least 3, candidates under a prefix dropped for a member that
+      would leave for a new singleton are never built and not counted;
     - ``max_welfare_partition``: complete partitions the search reaches;
       branch and bound reaches no more than a full enumeration yields.
 
@@ -91,12 +104,14 @@ def _exceeded(cap: float) -> BudgetExceededError:
     return BudgetExceededError(f"enumeration exceeded {cap} steps")
 
 
-def _coalition_candidates(leader: int, rest: list[int], bounds: SizeBounds):
+def _coalition_candidates(leader: int, rest: list[int], bounds: SizeBounds, viable=None):
     """Candidate coalitions for ``leader``, in lexicographic member order.
 
     One loop over a stack of indices into ``rest``: a prefix comes before
     its extensions, and a prefix that cannot reach the lower bound even by
-    taking everything left is abandoned.
+    taking everything left is abandoned.  When given, ``viable(prefix)``
+    sees each prefix as a member is appended, before it is yielded or
+    extended; a false result drops the prefix with all its extensions.
     """
     lo, hi = bounds.lower, bounds.upper
     if lo <= 1:
@@ -111,10 +126,20 @@ def _coalition_candidates(leader: int, rest: list[int], bounds: SizeBounds):
         if len(combo) == hi - 1:
             # the last member: each agent left completes a candidate
             prefix = tuple(combo)
-            for b in rest[i:]:
-                yield prefix + (b,)
+            if viable is None:
+                for b in rest[i:]:
+                    yield prefix + (b,)
+            else:
+                for b in rest[i:]:
+                    cand = prefix + (b,)
+                    if viable(cand):
+                        yield cand
         elif i < m and len(combo) + m - i >= lo:
             combo.append(rest[i])
+            if viable is not None and not viable(combo):
+                combo.pop()
+                i += 1
+                continue
             if len(combo) >= lo:
                 yield tuple(combo)
             picked.append(i)
@@ -126,28 +151,49 @@ def _coalition_candidates(leader: int, rest: list[int], bounds: SizeBounds):
         i = picked.pop() + 1
 
 
-def _search(n: int, bounds: SizeBounds, admit=None, max_tried: float = math.inf):
+def _search(
+    n: int, bounds: SizeBounds, admit=None, max_tried: float = math.inf, viable_in=None
+):
     """Leader-first DFS over the bound-respecting partitions of agents 1..n.
 
     ``admit(cand, avail, chosen)`` sees a size-feasible candidate coalition,
     the agents still unassigned (``cand`` included) and the stack of
     ``(coalition, value)`` pairs chosen so far.  It returns None to prune the
     candidate, or the value to keep beside it on the stack; without a hook
-    every candidate is kept with the value None.  Yields the stack, which is
-    reused, at every complete partition.  Raises ``BudgetExceededError`` once
-    more than ``max_tried`` candidates have been tried.
+    every candidate is kept with the value None.  ``viable_in(avail)``, when
+    given, returns the ``viable`` prefix hook of the frame whose agents are
+    ``avail``.  Yields the stack, which is reused, at every complete
+    partition.  Raises ``BudgetExceededError`` once more than ``max_tried``
+    candidates have been tried.
+
+    A remainder of r < 2L agents can only be closed by one coalition, all of
+    it.  Its frame tries just that coalition, but counts every candidate the
+    generator would have produced: its r - L + 1 chain prefixes up to and
+    including the whole remainder before it, and the unfit rest after it.
     """
     chosen: list[tuple[tuple[int, ...], object]] = []
     if n == 0:
         yield chosen
         return
+    lower = bounds.lower
     fits = [True] + [feasible_partition_exists(r, bounds) for r in range(1, n + 1)]
+    # remainder -> (candidates counted up to it, after it); such an r fits
+    # only as one coalition, so r <= U and every size from L to r is a candidate
+    closing = {
+        r: (r - lower + 1, sum(math.comb(r - 1, s - 1) - 1 for s in range(lower, r + 1)))
+        for r in range(1, min(n, 2 * lower - 1) + 1)
+        if fits[r]
+    }
     tried = 0
     value = None
-    avail = list(range(1, n + 1))
-    frames = [(avail, _coalition_candidates(1, avail[1:], bounds))]
+
+    def frame(avail):
+        viable = None if viable_in is None else viable_in(avail)
+        return avail, _coalition_candidates(avail[0], avail[1:], bounds, viable), 0
+
+    frames = [frame(list(range(1, n + 1)))]
     while frames:
-        avail, cands = frames[-1]
+        avail, cands, behind = frames[-1]
         for cand in cands:
             tried += 1
             if tried > max_tried:
@@ -165,9 +211,17 @@ def _search(n: int, bounds: SizeBounds, admit=None, max_tried: float = math.inf)
                 chosen.pop()
                 continue
             rest = [a for a in avail if a not in cand]
-            frames.append((rest, _coalition_candidates(rest[0], rest[1:], bounds)))
+            if remaining in closing:
+                ahead, behind = closing[remaining]
+                tried += ahead - 1  # the loop counts the whole remainder itself
+                frames.append((rest, [tuple(rest)], behind))
+            else:
+                frames.append(frame(rest))
             break
         else:
+            tried += behind
+            if tried > max_tried:
+                raise _exceeded(max_tried)
             frames.pop()
             if chosen:
                 chosen.pop()
@@ -264,7 +318,28 @@ def exists_stable(
                 return None
         return record
 
-    leaf = next(_search(game.n, bounds, admit, budget.max_partitions), None)
+    viable_in = None
+    if lower == 1 and upper >= 3:
+        best_gain = [max(row) for row in rows]  # entry 0 is 0, so never negative
+
+        def viable_in(avail):
+            # the members nobody still unassigned can hold back: in every
+            # extension of a prefix such a member may leave for a new singleton
+            unassigned = set(avail)
+            free = {a for a in avail if abandoned_vetoes[a].isdisjoint(unassigned)}
+
+            def viable(prefix):
+                # false when a free member's utility stays negative even if
+                # every open seat goes to its favourite agent
+                room = upper - len(prefix)
+                for a in prefix:
+                    if a in free and best_gain[a] * room < -sum(map(rows[a].__getitem__, prefix)):
+                        return False
+                return True
+
+            return viable
+
+    leaf = next(_search(game.n, bounds, admit, budget.max_partitions, viable_in), None)
     if leaf is None:
         return None
     partition = Partition._from_canonical(_coalitions(leaf))
@@ -286,10 +361,11 @@ def max_welfare_partition(
     """
     budget = _checked_budget(game.n, budget)
     partners = bounds.upper - 1
+    rows = [game.row(a) for a in range(game.n + 1)]
     # each agent's positive valuations, largest first
     liked = {}
     for a in game.agents:
-        row = game.row(a)
+        row = rows[a]
         liked[a] = sorted(
             ((row[b], b) for b in game.agents if b != a and row[b] > 0), reverse=True
         )
@@ -315,8 +391,8 @@ def max_welfare_partition(
         nonlocal reached
         welfare = done[-1][1] if done else 0
         for a in cand:
-            row = game.row(a)
-            welfare += sum(row[b] for b in cand if b != a)
+            # the diagonal of the table is 0: a sum over the whole coalition
+            welfare += sum(map(rows[a].__getitem__, cand))
         if len(cand) == len(avail):
             reached += 1
             if reached > budget.max_partitions:

@@ -9,16 +9,6 @@ from __future__ import annotations
 
 from .model import Game
 
-FAMILIES = (
-    "intro_positive",
-    "intro_negative",
-    "star_no_cis",
-    "cycle_no_is_star",
-    "pairs_triangle_no_cns_star",
-    "aziz_failure",
-)
-
-
 def intro_positive(k: int) -> Game:
     """Symmetric game on k pairs: partners value each other -1, everyone else +1.
 
@@ -115,19 +105,22 @@ def aziz_failure() -> Game:
     return Game(4, vals)
 
 
+_BUILDERS = {
+    "intro_positive": intro_positive,
+    "intro_negative": intro_negative,
+    "star_no_cis": star_no_cis,
+    "cycle_no_is_star": cycle_no_is_star,
+    "pairs_triangle_no_cns_star": pairs_triangle_no_cns_star,
+    "aziz_failure": aziz_failure,
+}
+FAMILIES = tuple(_BUILDERS)
+
+
 def make_instance(family: str, **params: int) -> Game:
     """Dispatch by family id; parameter names per generator signature."""
-    builders = {
-        "intro_positive": intro_positive,
-        "intro_negative": intro_negative,
-        "star_no_cis": star_no_cis,
-        "cycle_no_is_star": cycle_no_is_star,
-        "pairs_triangle_no_cns_star": pairs_triangle_no_cns_star,
-        "aziz_failure": aziz_failure,
-    }
-    if family not in builders:
+    if family not in _BUILDERS:
         raise ValueError(f"unknown instance family {family!r}; know {FAMILIES}")
     try:
-        return builders[family](**params)
+        return _BUILDERS[family](**params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for {family}: {exc}") from None

@@ -1,6 +1,7 @@
 import pytest
 
 import random
+from itertools import combinations
 
 from sizedhedonic import (
     ALL_CONCEPTS,
@@ -10,6 +11,7 @@ from sizedhedonic import (
     MMMInstance,
     Partition,
     SizeBounds,
+    X3CInstance,
     cycle_no_is_star,
     enumerate_partitions,
     exists_stable,
@@ -20,6 +22,7 @@ from sizedhedonic import (
     social_welfare,
     star_no_cis,
     verify,
+    x3c_to_cns,
 )
 
 from conftest import (
@@ -102,6 +105,25 @@ class TestHonestBudgets:
         with pytest.raises(BudgetExceededError):
             exists_stable(game, bounds, concept, EnumerationBudget(max_partitions=steps - 1))
 
+    @pytest.mark.parametrize(
+        "game, bounds, concept, steps",
+        [
+            (pairs_triangle_no_cns_star(6), SizeBounds(6, 7), Concept.CNS_STAR, 8184),
+            (star_no_cis(6), SizeBounds(6, 7), Concept.CIS, 1386),
+            (cycle_no_is_star(10), SizeBounds(3, 4), Concept.IS_STAR, 5320),
+            (intro_positive(3), SizeBounds(2, 3), Concept.NS_STAR, 3),
+        ],
+    )
+    def test_closing_frame_step_counts_are_pinned(self, game, bounds, concept, steps):
+        # every search here closes branches on a remainder below twice the
+        # lower bound, whose candidates are counted without being generated;
+        # the last one finds its stable partition in such a frame
+        def budget(cap):
+            return EnumerationBudget(max_agents=game.n, max_partitions=cap)
+
+        exists_stable(game, bounds, concept, budget(steps))
+        with pytest.raises(BudgetExceededError):
+            exists_stable(game, bounds, concept, budget(steps - 1))
 
     @pytest.mark.parametrize(
         "game, bounds, steps",
@@ -234,6 +256,93 @@ class TestExistsStable:
             g = random_game(rng, n)
             b = random_feasible_bounds(rng, n)
             assert exists_stable(g, b, Concept.CIS_STAR) is not None
+
+
+def has_exact_cover(ground, sets):
+    return any(
+        sorted(x for s in pick for x in s) == list(range(1, ground + 1))
+        for pick in combinations(sets, ground // 3)
+    )
+
+
+def has_small_maximal_matching(n, k, edges):
+    for size in range(k + 1):
+        for pick in combinations(edges, size):
+            covered = {x for e in pick for x in e}
+            if len(covered) == 2 * size and all(a in covered or b in covered for a, b in edges):
+                return True
+    return False
+
+
+class TestSignAwarePrefixes:
+    """At L = 1 and U >= 3 the search drops a prefix with a member who,
+    whatever joins, keeps a negative utility and cannot be vetoed."""
+
+    def test_matches_naive_filter_on_zero_heavy_games(self, rng):
+        # a third of the valuations are 0, so many members cannot be vetoed
+        for _ in range(20):
+            n = rng.randint(3, 8)
+            g = random_game(rng, n, low=-1, high=1)
+            b = SizeBounds(1, rng.randint(3, n if n < 8 else 3))
+            first = first_stable_by_filter(g, b)
+            for concept in ALL_CONCEPTS:
+                assert exists_stable(g, b, concept) == first.get(concept), (n, b, concept)
+
+    # the exhaustive benchmark's X3C sources (Theorem 5, CNS) and two of
+    # ground 6; the first stable partition's coalitions of two or more agents
+    # as the search found it before prefixes were pruned
+    @pytest.mark.parametrize(
+        "ground, sets, upper, pairs",
+        [
+            (3, ((1, 2, 3),), 3,
+             ((10, 13), (11, 19), (12, 25), (14, 18), (20, 24), (26, 30))),
+            (3, (), 3, None),
+            (3, ((1, 2, 3),), 4,
+             ((10, 13), (11, 19), (12, 25), (14, 18), (20, 24), (26, 30))),
+            (3, ((1, 2, 3), (1, 2, 3)), 3,
+             ((10, 13), (11, 19), (12, 25), (14, 18), (20, 24), (26, 30), (31, 37, 43),
+              (32, 36), (38, 42), (44, 48))),
+            (6, ((1, 2, 3), (3, 4, 5)), 3, None),
+            (6, ((1, 2, 3), (2, 3, 4), (4, 5, 6)), 3,
+             ((19, 25), (20, 31), (21, 37), (22, 61), (23, 67), (24, 73), (26, 30), (32, 36),
+              (38, 42), (43, 49, 55), (44, 48), (50, 54), (56, 60), (62, 66), (68, 72),
+              (74, 78))),
+        ],
+    )
+    def test_x3c_reductions_are_pinned(self, ground, sets, upper, pairs):
+        game = x3c_to_cns(X3CInstance(ground, sets), upper).game
+        budget = EnumerationBudget(max_agents=game.n)
+        found = exists_stable(game, SizeBounds(1, upper), Concept.CNS, budget)
+        assert (found is None) == (not has_exact_cover(ground, sets))
+        if found is not None:
+            assert tuple(c for c in found.coalitions if len(c) > 1) == pairs
+
+    # the exhaustive benchmark's MMM sources (Theorem 6, NS and IS)
+    @pytest.mark.parametrize(
+        "n, k, edges, upper, pairs",
+        [
+            (2, 1, ((1, 3), (2, 4)), 2, None),
+            (2, 1, ((1, 3), (2, 3)), 2, ((1, 3), (2, 5), (6, 7), (8, 9))),
+            (3, 1, ((1, 4), (2, 5)), 2, None),
+            (3, 1, ((1, 4), (2, 5)), 3, None),
+            (3, 2, ((1, 4), (2, 5), (3, 6)), 2, None),
+            (3, 3, ((1, 4), (2, 5), (3, 6)), 2, ((1, 4), (2, 5), (3, 6))),
+            (4, 2, ((1, 5), (2, 6)), 2,
+             ((1, 5), (2, 6), (3, 9), (4, 14), (10, 11), (12, 13), (15, 16), (17, 18))),
+            (4, 2, ((1, 5), (2, 6)), 3,
+             ((1, 5), (2, 6), (3, 9), (4, 14), (10, 11), (12, 13), (15, 16), (17, 18))),
+            (4, 3, ((1, 5), (2, 6), (3, 7)), 2,
+             ((1, 5), (2, 6), (3, 7), (4, 9), (10, 11), (12, 13))),
+        ],
+    )
+    def test_mmm_reductions_are_pinned(self, n, k, edges, upper, pairs):
+        game = mmm_to_ns_is(MMMInstance(n, k, edges), upper).game
+        budget = EnumerationBudget(max_agents=game.n)
+        for concept in (Concept.NS, Concept.IS):
+            found = exists_stable(game, SizeBounds(1, upper), concept, budget)
+            assert (found is None) == (not has_small_maximal_matching(n, k, edges))
+            if found is not None:
+                assert tuple(c for c in found.coalitions if len(c) > 1) == pairs
 
 
 class TestMaxWelfare:

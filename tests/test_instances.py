@@ -1,6 +1,7 @@
 import pytest
 
 from sizedhedonic import (
+    FAMILIES,
     Concept,
     Partition,
     SizeBounds,
@@ -133,3 +134,14 @@ class TestAdvertisedStabilityFacts:
         assert verify(intro_positive(3), pi, b, Concept.NS_STAR).stable
         assert not verify(intro_positive(3), pi, b, Concept.CIS).stable
         assert verify(intro_negative(3), pi, b, Concept.NS).stable
+
+
+def test_families_name_every_builder_in_order():
+    assert FAMILIES == (
+        "intro_positive",
+        "intro_negative",
+        "star_no_cis",
+        "cycle_no_is_star",
+        "pairs_triangle_no_cns_star",
+        "aziz_failure",
+    )
