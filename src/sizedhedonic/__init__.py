@@ -49,7 +49,7 @@ from .model import (
     is_feasible_partition,
     singleton_partition,
 )
-from .prefs import enemies, friends, friends_enemies, social_welfare, top_set, utility
+from .prefs import enemies, friends, social_welfare, top_set, utility
 from .reductions import (
     InvalidCertificateError,
     MMMInstance,
@@ -116,7 +116,6 @@ __all__ = [
     # prefs
     "enemies",
     "friends",
-    "friends_enemies",
     "social_welfare",
     "top_set",
     "utility",

@@ -30,7 +30,7 @@ from .model import (
     feasible_k_partition_exists,
     is_feasible_partition,
 )
-from .prefs import enemies, friends, top_set
+from .prefs import enemies, friends, top_set, utility
 from .stability import Concept, Deviation, apply_deviation, verify
 
 
@@ -188,7 +188,7 @@ def cns_pairs(game: Game) -> Partition:
         row = game.row(a)
         best = None
         for b in sorted(available):
-            if b != a and row[b] > 0 and (best is None or row[b] > row[best]):
+            if row[b] > 0 and (best is None or row[b] > row[best]):
                 best = b
         if best is not None:
             pairs.append([a, best])
@@ -310,26 +310,22 @@ def dynamics_steps(
     running forever.
     """
     visited: dict[Partition, int] | None = None  # partition -> step index
-    if not (game.symmetric or game.has_symmetric_table()):
+    if not game.has_symmetric_table():
         visited = {partition: 0}
     while True:
         report = verify(game, partition, bounds, Concept.NS_STAR)
         if report.stable:
             return
         deviation = report.witness
-        row = game.row(deviation.agent)
-        before = sum(
-            row[b] for b in partition.coalition_of(deviation.agent) if b != deviation.agent
-        )
-        after = 0
-        if deviation.target is not None:
-            after = sum(row[b] for b in partition.coalitions[deviation.target])
+        agent = deviation.agent
+        before = utility(game, agent, partition.coalition_of(agent))
         partition = apply_deviation(partition, deviation)
         if visited is not None:
             if partition in visited:
                 raise DynamicsCycleError(tuple(visited)[visited[partition]:])
             visited[partition] = len(visited)
-        yield deviation, after - before, partition
+        gain = utility(game, agent, partition.coalition_of(agent)) - before
+        yield deviation, gain, partition
 
 
 def symmetric_dynamics(
@@ -342,7 +338,7 @@ def symmetric_dynamics(
     partition with no feasible Nash deviation.  Returns it with the step
     count.
     """
-    if not (game.symmetric or game.has_symmetric_table()):
+    if not game.has_symmetric_table():
         raise NotSymmetricError("welfare dynamics require symmetric valuations")
     if init.n != game.n:
         raise ValueError("initial partition does not cover the game's agents")

@@ -165,7 +165,7 @@ def _cmd_solve(args) -> int:
                 f"no algorithm for {concept} with bounds {bounds}; use 'exists --exact'"
             )
     elif concept is Concept.NS_STAR:
-        if not (game.symmetric or game.has_symmetric_table()):
+        if not game.has_symmetric_table():
             return _no_algorithm("NS* solving needs symmetric valuations")
         blocks = greedy_feasible_partition(game.agents, bounds)
         if blocks is None:
@@ -251,7 +251,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_dynamics(args) -> int:
     game = _load_game(args.game)
-    if not (game.symmetric or game.has_symmetric_table()):
+    if not game.has_symmetric_table():
         return _no_algorithm("dynamics need symmetric valuations")
     if args.init is not None:
         init = _load_partition(args.init, game)

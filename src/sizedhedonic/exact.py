@@ -366,9 +366,7 @@ def max_welfare_partition(
     liked = {}
     for a in game.agents:
         row = rows[a]
-        liked[a] = sorted(
-            ((row[b], b) for b in game.agents if b != a and row[b] > 0), reverse=True
-        )
+        liked[a] = sorted(((row[b], b) for b in game.agents if row[b] > 0), reverse=True)
     optimistic: dict[tuple[int, ...], int] = {}  # remaining agents -> bound
     best_welfare = -math.inf
     reached = 0

@@ -83,7 +83,8 @@ class Game:
         """Trusted constructor: adopt a finished valuation table as is.
 
         ``table`` must be (n+1) rows of n+1 ints with row 0, column 0 and
-        the diagonal at 0, and symmetric when ``symmetric`` is set; none of
+        the diagonal at 0.  ``symmetric`` may be set only if the table is
+        symmetric, as ``has_symmetric_table`` then trusts the flag.  None of
         this is checked again.  For parsers that validated every entry while
         filling the table.
         """
@@ -107,8 +108,9 @@ class Game:
         """Internal valuation row of agent ``a``, indexed by agent id.
 
         Entry 0 and entry ``a`` itself are always 0, so a sum over a whole
-        coalition containing ``a`` is the agent's utility for it.  Exposed
-        for hot loops; do not mutate.
+        coalition containing ``a`` is the agent's utility for it, and no sign
+        test on the row ever selects ``a``.  ``prefs.utility`` and every
+        deviation check rely on this.  Exposed for hot loops; do not mutate.
         """
         return self._v[a]
 
@@ -117,11 +119,16 @@ class Game:
         for a in range(1, self.n + 1):
             row = self._v[a]
             for b in range(1, self.n + 1):
-                if b != a and row[b]:
+                if row[b]:
                     yield a, b, row[b]
 
     def has_symmetric_table(self) -> bool:
-        return all(
+        """True iff v_a(b) == v_b(a) for every pair of agents.
+
+        A game declared ``symmetric`` was validated when it was built, so it
+        answers at once; any other game has its table scanned.
+        """
+        return self.symmetric or all(
             self._v[a][b] == self._v[b][a]
             for a in range(1, self.n + 1)
             for b in range(a + 1, self.n + 1)

@@ -15,22 +15,17 @@ def utility(game: Game, agent: int, coalition: Iterable[int]) -> int:
     """Additive utility of ``agent`` for a coalition it belongs to.
 
     Sum of the agent's valuations for the other members; 0 for a singleton.
+    The row's own entry is 0, so the sum runs over the whole coalition.
     """
     members = set(coalition)
     if agent not in members:
         raise ValueError(f"agent {agent} is not a member of {sorted(members)}")
-    row = game.row(agent)
-    return sum(row[b] for b in members if b != agent)
+    return sum(map(game.row(agent).__getitem__, members))
 
 
 def social_welfare(game: Game, partition: Partition) -> int:
     """Sum of all agents' utilities under ``partition``."""
-    total = 0
-    for coalition in partition:
-        for a in coalition:
-            row = game.row(a)
-            total += sum(row[b] for b in coalition if b != a)
-    return total
+    return sum(utility(game, a, c) for c in partition for a in c)
 
 
 def top_set(game: Game, agent: int, pool: Iterable[int], k: int) -> list[int]:
@@ -65,24 +60,11 @@ def enemies(game: Game, who: int | Iterable[int], pool: Iterable[int]) -> set[in
     return _signed(game, who, pool, positive=False)
 
 
-def friends_enemies(
-    game: Game, who: int | Iterable[int], pool: Iterable[int], sign: str
-) -> set[int]:
-    """Selector with an explicit ``sign`` of "positive" or "negative"."""
-    if sign == "positive":
-        return friends(game, who, pool)
-    if sign == "negative":
-        return enemies(game, who, pool)
-    raise ValueError(f"sign must be 'positive' or 'negative', got {sign!r}")
-
-
 def _signed(game, who, pool, positive: bool) -> set[int]:
     sources = [who] if isinstance(who, int) else list(who)
     result: set[int] = set()
     for b in pool:
-        for a in sources:
-            if a == b:
-                continue
+        for a in sources:  # row entry a is 0, so an agent never selects itself
             v = game.row(a)[b]
             if (v > 0) if positive else (v < 0):
                 result.add(b)

@@ -21,6 +21,7 @@ games are reproducible; every agent's role is recorded in the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Sequence
 
 from .model import Game, Partition, SizeBounds, greedy_feasible_partition
@@ -98,6 +99,13 @@ class ReducedGame:
         return sum(1 for label in self.roles.values() if label.startswith(prefix))
 
 
+def _add_role(roles: dict[int, str], label: str) -> int:
+    """Give ``label`` the next agent id after the dense ids 1..len(roles)."""
+    agent = len(roles) + 1
+    roles[agent] = label
+    return agent
+
+
 def x3c_to_cns(instance: X3CInstance, mu: int) -> ReducedGame:
     """Game whose CNS partitions under (1, mu) encode exact covers, mu >= 3.
 
@@ -109,13 +117,7 @@ def x3c_to_cns(instance: X3CInstance, mu: int) -> ReducedGame:
     if mu < 3:
         raise ValueError("construction needs an upper bound of at least 3")
     roles: dict[int, str] = {}
-    next_id = 1
-
-    def add(label: str) -> int:
-        nonlocal next_id
-        roles[next_id] = label
-        next_id += 1
-        return next_id - 1
+    add = partial(_add_role, roles)
 
     elements = range(1, instance.ground_size + 1)
     alpha = {r: add(f"alpha[{r}]") for r in elements}
@@ -137,7 +139,7 @@ def x3c_to_cns(instance: X3CInstance, mu: int) -> ReducedGame:
             gamma_s[s, r] = add(f"gamma[{s}:{r}]")
             zeta_s[s, r] = add(f"zeta[{s}:{r}]")
 
-    n = next_id - 1
+    n = len(roles)
     vals = {(i, j): -3 for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
 
     def gadget(al: int, be: int, ga: int, ze: int) -> None:
@@ -174,14 +176,12 @@ def mmm_to_ns_is(instance: MMMInstance, mu: int) -> ReducedGame:
     n, k = instance.n, instance.k
     roles = {i: f"a[{i}]" for i in range(1, n + 1)}
     roles.update({n + j: f"b[{j}]" for j in range(1, n + 1)})
-    x: dict[tuple[int, int], int] = {}
-    next_id = 2 * n + 1
-    for i in range(1, n - k + 1):
-        for j in range(1, 6):
-            x[i, j] = next_id
-            roles[next_id] = f"x[{i}:{j}]"
-            next_id += 1
-    total = next_id - 1
+    x = {
+        (i, j): _add_role(roles, f"x[{i}:{j}]")
+        for i in range(1, n - k + 1)
+        for j in range(1, 6)
+    }
+    total = len(roles)
     filler = -6 * n
     vals = {(i, j): filler for i in range(1, total + 1) for j in range(1, total + 1) if i != j}
     for a, b in instance.edges:
@@ -216,13 +216,7 @@ def x3c_to_ns_bounded(instance: X3CInstance, bounds: SizeBounds) -> ReducedGame:
         raise ValueError("fewer sets than an exact cover would need")
 
     roles: dict[int, str] = {}
-    next_id = 1
-
-    def add(label: str) -> int:
-        nonlocal next_id
-        roles[next_id] = label
-        next_id += 1
-        return next_id - 1
+    add = partial(_add_role, roles)
 
     beta = {r: add(f"beta[{r}]") for r in range(1, instance.ground_size + 1)}
     xi = {
@@ -238,7 +232,7 @@ def x3c_to_ns_bounded(instance: X3CInstance, bounds: SizeBounds) -> ReducedGame:
     dummy_count = -(-(lo - 1) // (hi - lo)) * hi + hi
     dummies = [add(f"d[{i}]") for i in range(1, dummy_count + 1)]
     chaser = add("alpha")
-    n = next_id - 1
+    n = len(roles)
 
     core = list(beta.values()) + list(xi.values()) + list(t.values())
     vals: dict[tuple[int, int], int] = {}

@@ -129,17 +129,16 @@ def candidate_deviations(
     """
     if mode not in (PERMISSIBLE, FEASIBLE):
         raise ValueError(f"unknown deviation mode {mode!r}")
+    open_targets = [
+        idx for idx, c in enumerate(partition.coalitions) if len(c) < bounds.upper
+    ]
     result = []
     for agent in range(1, partition.n + 1):
         source_idx = partition.index_of(agent)
         source_size = len(partition.coalitions[source_idx])
         if mode == FEASIBLE and source_size != 1 and source_size - 1 < bounds.lower:
             continue  # leaving would strand the abandoned coalition
-        for idx, coalition in enumerate(partition.coalitions):
-            if idx == source_idx:
-                continue
-            if len(coalition) + 1 <= bounds.upper:
-                result.append(Deviation(agent, idx))
+        result.extend(Deviation(agent, idx) for idx in open_targets if idx != source_idx)
         if bounds.lower == 1 and source_size > 1:
             result.append(Deviation(agent, None))
     return result
@@ -157,7 +156,7 @@ def blocking_check(
     agent = deviation.agent
     row = game.row(agent)
     source = partition.coalition_of(agent)
-    current = sum(row[b] for b in source if b != agent)
+    current = sum(row[b] for b in source)  # row[agent] is 0
     if deviation.target is None:
         gain = -current
         target_members: tuple[int, ...] = ()
@@ -170,7 +169,7 @@ def blocking_check(
         if any(game.row(b)[agent] < 0 for b in target_members):
             return False
     if concept.abandoned_consent:
-        if any(game.row(b)[agent] > 0 for b in source if b != agent):
+        if any(game.row(b)[agent] > 0 for b in source):
             return False
     return True
 

@@ -5,7 +5,6 @@ from sizedhedonic import (
     aziz_failure,
     enemies,
     friends,
-    friends_enemies,
     intro_positive,
     pairs_triangle_no_cns_star,
     social_welfare,
@@ -111,13 +110,6 @@ class TestFriendsEnemies:
     def test_triangle_enemies(self):
         g = pairs_triangle_no_cns_star(2)  # c1, c2, c3 are agents 3, 4, 5
         assert enemies(g, 3, {4, 5}) == {4}
-
-    def test_sign_dispatch(self):
-        g = aziz_failure()
-        assert friends_enemies(g, 3, {1, 2, 4}, "positive") == {1, 2, 4}
-        assert friends_enemies(g, 1, {2, 4}, "negative") == {2, 4}
-        with pytest.raises(ValueError):
-            friends_enemies(g, 1, {2}, "both")
 
     def test_set_source_is_union(self, rng):
         for _ in range(100):

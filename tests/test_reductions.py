@@ -253,3 +253,38 @@ class TestTinyScaleEquivalence:
         for concept in (Concept.NS, Concept.IS):
             assert exists_stable(yes.game, b, concept, self.budget) is not None
             assert exists_stable(no.game, b, concept, self.budget) is None
+
+
+PINNED_X3C = X3CInstance(6, ((1, 2, 3), (2, 3, 4), (4, 5, 6), (1, 5, 6)))
+PINNED_MMM = MMMInstance(3, 2, ((1, 4), (2, 4), (3, 5), (3, 6)))
+
+
+@pytest.mark.parametrize(
+    "build, agents, digest",
+    [
+        (lambda: x3c_to_cns(PINNED_X3C, 3), 96,
+         "0003d6dc441299396bed996e5dd45b2ba263e30d5e4c80508d9a14992203bf28"),
+        (lambda: x3c_to_cns(PINNED_X3C, 4), 96,
+         "0003d6dc441299396bed996e5dd45b2ba263e30d5e4c80508d9a14992203bf28"),
+        (lambda: mmm_to_ns_is(PINNED_MMM, 2), 11,
+         "8362dce230968c6291151016beb5d04c87d448789d56976ea2c6c9ef896d3f5d"),
+        (lambda: mmm_to_ns_is(PINNED_MMM, 3), 11,
+         "8362dce230968c6291151016beb5d04c87d448789d56976ea2c6c9ef896d3f5d"),
+        (lambda: x3c_to_ns_bounded(PINNED_X3C, SizeBounds(2, 4)), 25,
+         "9e6eab69fb20675f664e311eb6e98c5c5a20882738e4da120b3ae9b2b3fee1ba"),
+        (lambda: x3c_to_ns_bounded(PINNED_X3C, SizeBounds(3, 5)), 31,
+         "37d522fc62d7fb86e5e1c8ced64388cc7bdcbfb76e0677d9d47ad590eee84cd7"),
+    ],
+)
+def test_reduced_games_and_roles_are_pinned(build, agents, digest):
+    """Agent ids, role labels and valuations stay byte-identical."""
+    import hashlib
+
+    from sizedhedonic.textio import serialize_game
+
+    reduced = build()
+    assert reduced.game.n == agents
+    text = serialize_game(reduced.game) + "".join(
+        f"{a} {label}\n" for a, label in sorted(reduced.roles.items())
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -271,3 +271,106 @@ def test_apply_deviation_moves_and_cleans_up():
     assert apply_deviation(p, Deviation(2, 1)) == Partition([[1], [2, 3]])
     with pytest.raises(ValueError):
         apply_deviation(p, Deviation(1, 0))
+
+
+class TestVerifyMatchesDefinitionalOracle:
+    """``verify`` and ``dynamics_steps`` against the definitions alone.
+
+    The oracle lists every single-agent move, performs it with
+    ``apply_deviation``, decides admissibility from coalition sizes, and
+    takes every utility as a sum of ``Game.value`` pairs.  It never reads
+    ``Game.row``, ``prefs.utility`` or ``candidate_deviations``.
+    """
+
+    @staticmethod
+    def oracle_utility(game, agent, coalition):
+        return sum(game.value(agent, b) for b in coalition if b != agent)
+
+    @classmethod
+    def oracle_verify(cls, game, partition, bounds, concept):
+        """(stable, witness, checked) straight from the definitions."""
+        checked = 0
+        for agent in game.agents:
+            source = partition.index_of(agent)
+            targets = [i for i in range(len(partition.coalitions)) if i != source]
+            if len(partition.coalitions[source]) > 1:
+                targets.append(None)
+            for target in targets:
+                move = Deviation(agent, target)
+                moved = apply_deviation(partition, move)
+                if concept.feasible_variant:
+                    admissible = all(bounds.contains(len(c)) for c in moved.coalitions)
+                else:
+                    admissible = bounds.contains(len(moved.coalition_of(agent)))
+                if not admissible:
+                    continue
+                checked += 1
+                gain = {
+                    b: cls.oracle_utility(game, b, moved.coalition_of(b))
+                    - cls.oracle_utility(game, b, partition.coalition_of(b))
+                    for b in game.agents
+                }
+                if gain[agent] <= 0:
+                    continue
+                joined = () if target is None else partition.coalitions[target]
+                abandoned = [b for b in partition.coalitions[source] if b != agent]
+                if concept.joined_consent and any(gain[b] < 0 for b in joined):
+                    continue
+                if concept.abandoned_consent and any(gain[b] < 0 for b in abandoned):
+                    continue
+                return False, move, checked
+        return True, None, checked
+
+    @staticmethod
+    def corpus(rng):
+        """Seeded games with n <= 7 and values -2..2, a third of them zero-heavy."""
+        from sizedhedonic.model import Game
+
+        cases = []
+        for i in range(150):
+            n = rng.randint(1, 7)
+            if i % 3 == 2:
+                choices = (-2, -1, 0, 0, 0, 0, 0, 1, 2)
+                vals = {
+                    (a, b): rng.choice(choices)
+                    for a in range(1, n + 1)
+                    for b in range(1, n + 1)
+                    if a != b
+                }
+                g = Game(n, vals)
+            else:
+                g = random_game(rng, n, low=-2, high=2, symmetric=i % 3 == 1)
+            b = random_feasible_bounds(rng, n)
+            cases.append((g, b, random_feasible_partition(rng, n, b)))
+        return cases
+
+    def test_verify_matches_oracle(self, rng):
+        stable = unstable = 0
+        for g, b, p in self.corpus(rng):
+            for concept in ALL_CONCEPTS:
+                report = verify(g, p, b, concept)
+                expected = self.oracle_verify(g, p, b, concept)
+                assert (report.stable, report.witness, report.checked_deviations) == expected
+                stable += report.stable
+                unstable += not report.stable
+        assert stable > 100 and unstable > 100  # both verdicts are exercised
+
+    def test_dynamics_gain_is_oracle_utility_change(self, rng):
+        from sizedhedonic import DynamicsCycleError, dynamics_steps
+
+        steps = 0
+        for g, b, p in self.corpus(rng):
+            if g.has_symmetric_table():
+                continue
+            before = p
+            try:
+                for deviation, gain, after in dynamics_steps(g, b, p):
+                    agent = deviation.agent
+                    assert gain == self.oracle_utility(
+                        g, agent, after.coalition_of(agent)
+                    ) - self.oracle_utility(g, agent, before.coalition_of(agent))
+                    before = after
+                    steps += 1
+            except DynamicsCycleError:
+                pass
+        assert steps > 50

@@ -94,6 +94,21 @@ class TestPartitionFormat:
         with pytest.raises(ParseError):
             parse_partition("1 x\n")
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_round_trips_random(self, data):
+        n = data.draw(st.integers(1, 30))
+        agents = data.draw(st.permutations(range(1, n + 1)))
+        cuts = data.draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+        bounds = [0, *sorted(cuts), n]
+        coalitions = [list(agents[i:j]) for i, j in zip(bounds, bounds[1:])]
+        shuffled = [data.draw(st.permutations(c)) for c in coalitions]
+        shuffled = data.draw(st.permutations(shuffled))
+        p = Partition(shuffled)
+        text = "".join(" ".join(map(str, c)) + "\n" for c in shuffled)
+        assert parse_partition(text) == p
+        assert parse_partition(serialize_partition(p)) == p
+
 
 class TestInstanceFormats:
     def test_x3c_round_trip(self):
