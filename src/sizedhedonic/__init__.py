@@ -9,7 +9,6 @@ certificate-derived witness partitions.
 
 from .algorithms import (
     DynamicsCycleError,
-    LeaderTrace,
     NotSymmetricError,
     TraceEntry,
     aziz_reference,
@@ -77,7 +76,6 @@ from .stability import (
 __all__ = [
     # algorithms
     "DynamicsCycleError",
-    "LeaderTrace",
     "NotSymmetricError",
     "TraceEntry",
     "aziz_reference",

@@ -65,18 +65,7 @@ class TraceEntry:
     helpers: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LeaderTrace:
-    entries: tuple[TraceEntry, ...]
-
-    def __iter__(self) -> Iterator[TraceEntry]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def cis_upper(game: Game, upper: int) -> tuple[Partition, LeaderTrace]:
+def cis_upper(game: Game, upper: int) -> tuple[Partition, tuple[TraceEntry, ...]]:
     """A contractually individually stable partition with coalitions of size <= upper.
 
     Leaders are picked lowest-id first.  A leader compares founding a new
@@ -125,7 +114,7 @@ def cis_upper(game: Game, upper: int) -> tuple[Partition, LeaderTrace]:
             deciders[target].add(a)
             entries.append(TraceEntry(a, "joined", target + 1, tuple(target_helpers)))
             available.difference_update({a, *target_helpers})
-    return Partition(coalitions), LeaderTrace(tuple(entries))
+    return Partition(coalitions), tuple(entries)
 
 
 def aziz_reference(game: Game) -> Partition:
@@ -197,6 +186,22 @@ def cns_pairs(game: Game) -> Partition:
     return Partition(pairs)
 
 
+def _k_partition_exists(game: Game, bounds: SizeBounds, k: int, signs_hold, signs: str) -> bool:
+    """The preconditions both k-coalition CIS* solvers share, checked in order.
+
+    Raises ``ValueError`` for a count below 1, a lower bound below 2, or
+    valuations whose signs fail ``signs_hold``; otherwise reports whether a
+    bound-respecting partition of the agents into k coalitions exists.
+    """
+    if k < 1:
+        raise ValueError("coalition count must be positive")
+    if bounds.lower < 2:
+        raise ValueError("requires a lower bound of at least 2")
+    if not signs_hold():
+        raise ValueError(f"requires {signs} valuations between all agent pairs")
+    return game.n >= 1 and feasible_k_partition_exists(game.n, k, bounds)
+
+
 def cis_star_nonzero(game: Game, bounds: SizeBounds, k: int) -> Partition | None:
     """Feasible-CIS partition into k coalitions for nonzero valuations.
 
@@ -215,17 +220,10 @@ def cis_star_nonzero(game: Game, bounds: SizeBounds, k: int) -> Partition | None
     leader algorithm for upper-bounded games covers that regime without a
     coalition-count target.
     """
-    if k < 1:
-        raise ValueError("coalition count must be positive")
-    if bounds.lower < 2:
-        raise ValueError("requires a lower bound of at least 2")
-    if not game.is_nonzero():
-        raise ValueError("requires nonzero valuations between all agent pairs")
-    n = game.n
-    if n < 1 or not feasible_k_partition_exists(n, k, bounds):
+    if not _k_partition_exists(game, bounds, k, game.is_nonzero, "nonzero"):
         return None
     available: set[int] = set(game.agents)
-    x = n - bounds.lower * k
+    x = game.n - bounds.lower * k
     coalitions: list[list[int]] = []
     for _ in range(k):
         a = min(available)
@@ -257,26 +255,19 @@ def cis_star_nonneg(game: Game, bounds: SizeBounds, k: int) -> Partition | None:
     Requires a lower bound of at least 2, for the same reason as the
     nonzero-valuations variant.
     """
-    if k < 1:
-        raise ValueError("coalition count must be positive")
-    if bounds.lower < 2:
-        raise ValueError("requires a lower bound of at least 2")
-    if not game.is_nonnegative():
-        raise ValueError("requires nonnegative valuations between all agent pairs")
-    n = game.n
-    if n < 1 or not feasible_k_partition_exists(n, k, bounds):
+    if not _k_partition_exists(game, bounds, k, game.is_nonnegative, "nonnegative"):
         return None
     lo, hi = bounds.lower, bounds.upper
     available: set[int] = set(game.agents)
     coalitions: list[list[int]] = [[] for _ in range(k)]
-    x = n - lo * k
+    x = game.n - lo * k
     while available:
         a = min(available)
         row = game.row(a)
         liked = friends(game, a, available)
+        budgets = [min(x + max(0, lo - len(m)), hi - len(m)) for m in coalitions]
         best, target, helpers = 0, None, []
-        for i, members in enumerate(coalitions):
-            r = min(x + max(0, lo - len(members)), hi - len(members))
+        for i, (members, r) in enumerate(zip(coalitions, budgets)):
             if r < 1:
                 continue
             cand = top_set(game, a, liked, r - 1)
@@ -284,10 +275,7 @@ def cis_star_nonneg(game: Game, bounds: SizeBounds, k: int) -> Partition | None:
             if gain > best:
                 best, target, helpers = gain, i, cand
         if target is None:
-            for i, members in enumerate(coalitions):
-                if min(x + max(0, lo - len(members)), hi - len(members)) >= 1:
-                    target, helpers = i, []
-                    break
+            target = next((i for i, r in enumerate(budgets) if r >= 1), None)
             assert target is not None, "size deficits plus x always cover the pool"
         members = coalitions[target]
         x -= max(0, 1 + len(helpers) - max(0, lo - len(members)))

@@ -82,13 +82,8 @@ def _load_game(path: str) -> Game:
     return parse_game(_read(path))
 
 
-def _load_partition(path: str, game: Game) -> Partition:
-    partition = parse_partition(_read(path))
-    if partition.n != game.n:
-        raise _UsageError(
-            f"partition covers {partition.n} agents but the game has {game.n}"
-        )
-    return partition
+def _load_partition(path: str) -> Partition:
+    return parse_partition(_read(path))
 
 
 def _print_deviation(deviation: Deviation, partition: Partition) -> None:
@@ -105,7 +100,7 @@ def _emit_partition(partition: Partition) -> None:
 
 def _cmd_verify(args) -> int:
     game = _load_game(args.game)
-    partition = _load_partition(args.partition, game)
+    partition = _load_partition(args.partition)
     report = verify(game, partition, args.bounds, args.concept)
     if report.stable:
         print("stable")
@@ -120,61 +115,54 @@ def _no_algorithm(message: str) -> int:
     return 2
 
 
+def _no_partition(n: int, bounds: SizeBounds, k: int | None = None) -> int:
+    into = "" if k is None else f" into {k} coalitions"
+    return _no_algorithm(f"no partition of {n} agents{into} within {bounds}")
+
+
+def _greedy_start(game: Game, bounds: SizeBounds) -> Partition | None:
+    blocks = greedy_feasible_partition(game.agents, bounds)
+    return None if blocks is None else Partition(blocks)
+
+
 def _cmd_solve(args) -> int:
     game = _load_game(args.game)
-    bounds, concept = args.bounds, args.concept
+    bounds, concept, k = args.bounds, args.concept, args.k
     lo, hi = bounds.lower, bounds.upper
-    if args.k is not None and not (concept.base == "cis" and concept.feasible_variant):
+    if k is not None and not (concept.base == "cis" and concept.feasible_variant):
         raise _UsageError("--k only applies to --concept cis*")
-    partition = None
-    if concept.base == "cis" and not concept.feasible_variant:
+    if k is not None and k < 1:
+        raise _UsageError(f"--k must be at least 1, got {k}")
+    unsupported = f"no algorithm for {concept} with bounds {bounds}; use 'exists --exact'"
+    if concept.base == "cis" and (lo == 1 or not concept.feasible_variant):
+        # the leader algorithm; at a lower bound of 1 permissible and feasible
+        # deviations coincide, but it cannot target a coalition count
+        if k is not None:
+            return _no_algorithm("no algorithm targets a coalition count with a lower bound of 1")
         if lo != 1 or hi < 2:
-            return _no_algorithm(f"no algorithm for CIS with bounds {bounds}")
+            return _no_algorithm(unsupported)
         partition, _ = cis_upper(game, hi)
-    elif concept.base == "cis" and concept.feasible_variant:
-        if lo == 1:
-            # permissible and feasible coincide; the leader algorithm applies
-            # but cannot target a coalition count
-            if args.k is not None:
-                return _no_algorithm(
-                    "no algorithm targets a coalition count with a lower bound of 1"
-                )
-            if hi < 2:
-                return _no_algorithm(f"no algorithm for CIS* with bounds {bounds}")
-            partition, _ = cis_upper(game, hi)
-        elif (nonzero := game.is_nonzero()) or game.is_nonnegative():
-            k = args.k if args.k is not None else game.n // lo
-            if k < 1:
-                return _no_algorithm(f"no partition of {game.n} agents within {bounds}")
-            solver = cis_star_nonzero if nonzero else cis_star_nonneg
-            partition = solver(game, bounds, k)
-            if partition is None:
-                return _no_algorithm(
-                    f"no partition of {game.n} agents into {k} coalitions within {bounds}"
-                )
-        else:
+    elif concept.base == "cis":  # CIS* with a lower bound of at least 2
+        if not ((nonzero := game.is_nonzero()) or game.is_nonnegative()):
             return _no_algorithm(
                 "CIS* solving with a nontrivial lower bound needs nonzero or "
                 "nonnegative valuations; use 'exists --exact' otherwise"
             )
-    elif concept.base == "cns":
-        if (lo, hi) == (1, 2):
-            partition = cns_pairs(game)
-        else:
-            return _no_algorithm(
-                f"no algorithm for {concept} with bounds {bounds}; use 'exists --exact'"
-            )
+        if k is None:
+            k = game.n // lo
+            if k == 0:  # fewer agents than the lower bound
+                return _no_partition(game.n, bounds)
+        partition = (cis_star_nonzero if nonzero else cis_star_nonneg)(game, bounds, k)
+        if partition is None:
+            return _no_partition(game.n, bounds, k)
+    elif concept.base == "cns" and (lo, hi) == (1, 2):
+        partition = cns_pairs(game)
     elif concept is Concept.NS_STAR:
-        if not game.has_symmetric_table():
-            return _no_algorithm("NS* solving needs symmetric valuations")
-        blocks = greedy_feasible_partition(game.agents, bounds)
-        if blocks is None:
-            return _no_algorithm(f"no partition of {game.n} agents within {bounds}")
-        partition, _ = symmetric_dynamics(game, bounds, Partition(blocks))
+        if (init := _greedy_start(game, bounds)) is None:
+            return _no_partition(game.n, bounds)
+        partition, _ = symmetric_dynamics(game, bounds, init)
     else:
-        return _no_algorithm(
-            f"no algorithm for {concept} with bounds {bounds}; use 'exists --exact'"
-        )
+        return _no_algorithm(unsupported)
     report = verify(game, partition, bounds, concept)
     if not report.stable:  # pragma: no cover - guards against solver bugs
         raise RuntimeError(f"solver produced a partition rejected for {concept}")
@@ -185,8 +173,7 @@ def _cmd_solve(args) -> int:
 def _cmd_exists(args) -> int:
     game = _load_game(args.game)
     if game.n < 1 or not feasible_partition_exists(game.n, args.bounds):
-        print(f"no partition of {game.n} agents within {args.bounds}", file=sys.stderr)
-        return 2
+        return _no_partition(game.n, args.bounds)
     budget = EnumerationBudget(max_agents=args.max_n)
     partition = exists_stable(game, args.bounds, args.concept, budget)
     if partition is None:
@@ -199,8 +186,7 @@ def _cmd_exists(args) -> int:
 def _cmd_maxwelfare(args) -> int:
     game = _load_game(args.game)
     if game.n < 1 or not feasible_partition_exists(game.n, args.bounds):
-        print(f"no partition of {game.n} agents within {args.bounds}", file=sys.stderr)
-        return 2
+        return _no_partition(game.n, args.bounds)
     budget = EnumerationBudget(max_agents=args.max_n)
     partition = max_welfare_partition(game, args.bounds, budget)
     print(f"welfare: {social_welfare(game, partition)}", file=sys.stderr)
@@ -233,9 +219,9 @@ def _cmd_reduce(args) -> int:
         raise _UsageError("theorem 6 reduces from mmm instances")
     text = _read(args.instance)
     if args.theorem == 5:
-        reduced = x3c_to_cns(parse_x3c(text), args.mu if args.mu else 3)
+        reduced = x3c_to_cns(parse_x3c(text), 3 if args.mu is None else args.mu)
     elif args.theorem == 6:
-        reduced = mmm_to_ns_is(parse_mmm(text), args.mu if args.mu else 2)
+        reduced = mmm_to_ns_is(parse_mmm(text), 2 if args.mu is None else args.mu)
     else:
         if args.bounds is None:
             raise _UsageError("theorem 9 needs --bounds")
@@ -251,15 +237,10 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_dynamics(args) -> int:
     game = _load_game(args.game)
-    if not game.has_symmetric_table():
-        return _no_algorithm("dynamics need symmetric valuations")
     if args.init is not None:
-        init = _load_partition(args.init, game)
-    else:
-        blocks = greedy_feasible_partition(game.agents, args.bounds)
-        if blocks is None:
-            return _no_algorithm(f"no partition of {game.n} agents within {args.bounds}")
-        init = Partition(blocks)
+        init = _load_partition(args.init)
+    elif (init := _greedy_start(game, args.bounds)) is None:
+        return _no_partition(game.n, args.bounds)
     final, steps = symmetric_dynamics(game, args.bounds, init)
     print(f"steps: {steps}", file=sys.stderr)
     _emit_partition(final)

@@ -75,15 +75,14 @@ class EnumerationBudget:
     - ``max_welfare_partition``: complete partitions the search reaches;
       branch and bound reaches no more than a full enumeration yields.
 
-    ``exists_stable`` and ``max_welfare_partition`` always raise
-    ``BudgetExceededError`` at the cap, since a truncated search is no
-    verdict.  ``abort_on_exceed`` applies to ``enumerate_partitions`` only:
-    when unset, the stream simply ends at the cap instead of raising.
+    Every oracle raises ``BudgetExceededError`` at the cap, since a
+    truncated search is no verdict.  To take only a prefix of the
+    enumeration, slice the stream: ``itertools.islice(stream, m)`` takes m
+    partitions from a stream capped at m without raising.
     """
 
     max_agents: int = 12
     max_partitions: int = 10_000_000
-    abort_on_exceed: bool = True
 
     def __post_init__(self) -> None:
         if self.max_agents < 1:
@@ -243,9 +242,7 @@ def enumerate_partitions(
         yielded = 0
         for chosen in _search(n, bounds):
             if yielded == budget.max_partitions:
-                if budget.abort_on_exceed:
-                    raise _exceeded(budget.max_partitions)
-                return
+                raise _exceeded(budget.max_partitions)
             yielded += 1
             yield Partition._from_canonical(_coalitions(chosen))
 

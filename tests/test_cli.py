@@ -260,3 +260,139 @@ def test_module_entry_point(tmp_path: Path):
     )
     assert result.returncode == 0
     assert parse_partition(result.stdout) == Partition([[1], [2, 3, 4]])
+
+
+class TestSolveDispatchPinned:
+    """Each ``solve`` branch: its exit code, and nothing on stdout at exit 2.
+
+    aziz_failure (4 agents) is not symmetric and has both zero and negative
+    valuations; star_no_cis(2) (4 agents) is symmetric and nonnegative;
+    intro_positive(3) (6 agents) is symmetric and nonzero.
+    """
+
+    @pytest.mark.parametrize(
+        "key, concept, bounds, k, code",
+        [
+            ("aziz", "cis", "1:1", None, 2),
+            ("intro_pos", "cis", "2:3", None, 2),
+            ("aziz", "cis", "1:4", None, 0),
+            ("aziz", "cis*", "1:1", None, 2),
+            ("aziz", "cis*", "1:4", None, 0),
+            ("aziz", "cis*", "1:4", "2", 2),
+            ("aziz", "cis*", "2:2", None, 2),
+            ("aziz", "cis*", "2:2", "2", 2),
+            ("star", "cis*", "2:3", None, 0),
+            ("intro_pos", "cis*", "2:3", None, 0),
+            ("star", "cis*", "5:6", None, 2),
+            ("star", "cis*", "2:3", "3", 2),
+            ("aziz", "cns", "1:2", None, 0),
+            ("aziz", "cns*", "1:3", None, 2),
+            ("aziz", "ns*", "2:2", None, 2),
+            ("aziz", "ns*", "3:3", None, 2),
+            ("intro_pos", "ns*", "2:3", None, 0),
+            ("intro_pos", "ns*", "4:5", None, 2),
+            ("aziz", "is", "1:3", None, 2),
+        ],
+    )
+    def test_exit_code(self, capsys, files, key, concept, bounds, k, code):
+        argv = ["solve", "--concept", concept, "--bounds", bounds, files[key]]
+        if k is not None:
+            argv[1:1] = ["--k", k]
+        got, out, err = invoke(capsys, *argv)
+        assert got == code
+        if code == 2:
+            assert out == "" and err
+        else:
+            assert verify(
+                parse_game(Path(files[key]).read_text()), parse_partition(out),
+                SizeBounds(*map(int, bounds.split(":"))), Concept.parse(concept),
+            ).stable
+
+    @pytest.mark.parametrize("bounds", ["1:2", "1:3", "1:4"])
+    def test_cis_and_cis_star_share_the_leader_construction_at_lower_bound_one(
+        self, capsys, files, bounds
+    ):
+        for key in ("aziz", "star", "intro_pos"):
+            plain = invoke(capsys, "solve", "--concept", "cis", "--bounds", bounds, files[key])
+            star = invoke(capsys, "solve", "--concept", "cis*", "--bounds", bounds, files[key])
+            assert plain[0] == star[0] == 0 and plain[1] == star[1]
+
+    def test_omitted_k_below_the_lower_bound_is_no_partition(self, capsys, files):
+        # 4 agents cannot fill one coalition of at least 5
+        code, out, err = invoke(
+            capsys, "solve", "--concept", "cis*", "--bounds", "5:6", files["star"]
+        )
+        assert (code, out) == (2, "") and "no partition of 4 agents" in err
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_explicit_k_below_one_is_an_input_error(self, capsys, files, k):
+        # --k 2 solves this game; a count below 1 is no bound-related verdict
+        assert invoke(
+            capsys, "solve", "--concept", "cis*", "--bounds", "2:3", "--k", "2", files["star"]
+        )[0] == 0
+        code, out, err = invoke(
+            capsys, "solve", "--concept", "cis*", "--bounds", "2:3", "--k", k, files["star"]
+        )
+        assert (code, out) == (3, "") and err.startswith("error: ")
+
+
+class TestPartitionInputsPinned:
+    def test_dynamics_on_a_non_symmetric_game_exits_two(self, capsys, files, tmp_path):
+        code, out, _ = invoke(capsys, "dynamics", "--bounds", "1:4", files["aziz"])
+        assert (code, out) == (2, "")
+        init = tmp_path / "init"
+        init.write_text("1 2\n3 4\n")
+        code, out, _ = invoke(
+            capsys, "dynamics", "--bounds", "1:4", "--init", str(init), files["aziz"]
+        )
+        assert (code, out) == (2, "")
+
+    def test_dynamics_from_a_valid_init(self, capsys, files, tmp_path):
+        init = tmp_path / "init"
+        init.write_text("1 2 3\n4 5 6\n")
+        code, out, err = invoke(
+            capsys, "dynamics", "--bounds", "2:3", "--init", str(init), files["intro_pos"]
+        )
+        assert code == 0 and err.startswith("steps:")
+        assert verify(
+            intro_positive(3), parse_partition(out), SizeBounds(2, 3), Concept.NS_STAR
+        ).stable
+
+    def test_wrong_agent_count_is_exit_three(self, capsys, files, tmp_path):
+        short = tmp_path / "short"
+        short.write_text("1 2\n3 4\n")
+        code, out, _ = invoke(
+            capsys, "verify", "--concept", "ns", "--bounds", "1:2", files["intro_pos"], str(short)
+        )
+        assert (code, out) == (3, "")
+        code, out, _ = invoke(
+            capsys, "dynamics", "--bounds", "2:3", "--init", str(short), files["intro_pos"]
+        )
+        assert (code, out) == (3, "")
+
+    def test_malformed_init_is_exit_three(self, capsys, files, tmp_path):
+        # the file is read before the game's symmetry is checked
+        bad = tmp_path / "bad"
+        bad.write_text("1 2\n2 3\n")
+        for key in ("intro_pos", "aziz"):
+            code, out, _ = invoke(
+                capsys, "dynamics", "--bounds", "1:4", "--init", str(bad), files[key]
+            )
+            assert (code, out) == (3, "")
+
+
+class TestReduceMu:
+    @pytest.mark.parametrize("theorem, source, text, low", [
+        ("5", "x3c", "x3c 6\nset 1 2 3\nset 2 3 4\nset 4 5 6\n", 2),
+        ("6", "mmm", "mmm 3 2\nedge 1 4\nedge 2 4\nedge 3 5\n", 1),
+    ])
+    def test_mu_below_the_construction_minimum_is_exit_three(
+        self, capsys, tmp_path, theorem, source, text, low
+    ):
+        inst = tmp_path / "inst"
+        inst.write_text(text)
+        for mu in (str(low), "0"):
+            code, out, _ = invoke(
+                capsys, "reduce", "--from", source, "--theorem", theorem, "--mu", mu, str(inst)
+            )
+            assert (code, out) == (3, "")

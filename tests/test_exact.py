@@ -1,7 +1,7 @@
 import pytest
 
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 from sizedhedonic import (
     ALL_CONCEPTS,
@@ -71,13 +71,21 @@ def test_budget_enforced():
     tight = EnumerationBudget(max_agents=12, max_partitions=10)
     with pytest.raises(BudgetExceededError):
         list(enumerate_partitions(6, SizeBounds(1, 6), tight))
-    quiet = EnumerationBudget(max_agents=12, max_partitions=10, abort_on_exceed=False)
-    assert sum(1 for _ in enumerate_partitions(6, SizeBounds(1, 6), quiet)) == 10
+
+
+def test_islice_takes_a_prefix_up_to_the_cap():
+    # a prefix of the stream is taken by slicing it; the cap raises only when
+    # a partition past it is asked for
+    tight = EnumerationBudget(max_agents=12, max_partitions=10)
+    full = list(enumerate_partitions(6, SizeBounds(1, 6)))
+    assert list(islice(enumerate_partitions(6, SizeBounds(1, 6), tight), 10)) == full[:10]
+    with pytest.raises(BudgetExceededError):
+        list(islice(enumerate_partitions(6, SizeBounds(1, 6), tight), 11))
 
 
 class TestHonestBudgets:
     # a quiet cap must not turn a truncated search into a verdict
-    quiet = EnumerationBudget(max_partitions=1, abort_on_exceed=False)
+    quiet = EnumerationBudget(max_partitions=1)
 
     def test_exists_stable_raises_at_quiet_cap(self):
         g, b = intro_positive(3), SizeBounds(2, 3)
