@@ -22,14 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .model import (
-    Game,
-    InfeasiblePartitionError,
-    Partition,
-    SizeBounds,
-    feasible_k_partition_exists,
-    is_feasible_partition,
-)
+from .model import Game, Partition, SizeBounds, feasible_k_partition_exists
 from .prefs import enemies, friends, top_set, utility
 from .stability import Concept, Deviation, apply_deviation, verify
 
@@ -189,17 +182,18 @@ def cns_pairs(game: Game) -> Partition:
 def _k_partition_exists(game: Game, bounds: SizeBounds, k: int, signs_hold, signs: str) -> bool:
     """The preconditions both k-coalition CIS* solvers share, checked in order.
 
-    Raises ``ValueError`` for a count below 1, a lower bound below 2, or
+    Raises ``ValueError`` for a negative count, a lower bound below 2, or
     valuations whose signs fail ``signs_hold``; otherwise reports whether a
-    bound-respecting partition of the agents into k coalitions exists.
+    bound-respecting partition of the agents into k coalitions exists (for
+    k = 0 only the empty game has one, the empty partition).
     """
-    if k < 1:
-        raise ValueError("coalition count must be positive")
+    if k < 0:
+        raise ValueError("coalition count must be nonnegative")
     if bounds.lower < 2:
         raise ValueError("requires a lower bound of at least 2")
     if not signs_hold():
         raise ValueError(f"requires {signs} valuations between all agent pairs")
-    return game.n >= 1 and feasible_k_partition_exists(game.n, k, bounds)
+    return feasible_k_partition_exists(game.n, k, bounds)
 
 
 def cis_star_nonzero(game: Game, bounds: SizeBounds, k: int) -> Partition | None:
@@ -324,14 +318,13 @@ def symmetric_dynamics(
     Each step strictly increases social welfare by twice the deviator's
     gain, and welfare is an integer bounded above, so the dynamics reach a
     partition with no feasible Nash deviation.  Returns it with the step
-    count.
+    count.  Raises ``NotSymmetricError`` on a game that is not symmetric;
+    the first ``verify`` of the dynamics raises ``ValueError`` when ``init``
+    does not cover the game's agents and ``InfeasiblePartitionError`` when
+    it violates the bounds.
     """
     if not game.has_symmetric_table():
         raise NotSymmetricError("welfare dynamics require symmetric valuations")
-    if init.n != game.n:
-        raise ValueError("initial partition does not cover the game's agents")
-    if not is_feasible_partition(init, bounds):
-        raise InfeasiblePartitionError("initial partition violates the size bounds")
     final, steps = init, 0
     for _, _, partition in dynamics_steps(game, bounds, init):
         final, steps = partition, steps + 1

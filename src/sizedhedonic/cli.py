@@ -148,11 +148,8 @@ def _cmd_solve(args) -> int:
                 "CIS* solving with a nontrivial lower bound needs nonzero or "
                 "nonnegative valuations; use 'exists --exact' otherwise"
             )
-        if k is None:
-            k = game.n // lo
-            if k == 0:  # fewer agents than the lower bound
-                return _no_partition(game.n, bounds)
-        partition = (cis_star_nonzero if nonzero else cis_star_nonneg)(game, bounds, k)
+        solver = cis_star_nonzero if nonzero else cis_star_nonneg
+        partition = solver(game, bounds, game.n // lo if k is None else k)
         if partition is None:
             return _no_partition(game.n, bounds, k)
     elif concept.base == "cns" and (lo, hi) == (1, 2):
@@ -172,7 +169,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_exists(args) -> int:
     game = _load_game(args.game)
-    if game.n < 1 or not feasible_partition_exists(game.n, args.bounds):
+    if not feasible_partition_exists(game.n, args.bounds):
         return _no_partition(game.n, args.bounds)
     budget = EnumerationBudget(max_agents=args.max_n)
     partition = exists_stable(game, args.bounds, args.concept, budget)
@@ -185,7 +182,7 @@ def _cmd_exists(args) -> int:
 
 def _cmd_maxwelfare(args) -> int:
     game = _load_game(args.game)
-    if game.n < 1 or not feasible_partition_exists(game.n, args.bounds):
+    if not feasible_partition_exists(game.n, args.bounds):
         return _no_partition(game.n, args.bounds)
     budget = EnumerationBudget(max_agents=args.max_n)
     partition = max_welfare_partition(game, args.bounds, budget)
@@ -217,6 +214,10 @@ def _cmd_reduce(args) -> int:
         raise _UsageError(f"theorem {args.theorem} reduces from x3c instances")
     if args.theorem == 6 and args.source != "mmm":
         raise _UsageError("theorem 6 reduces from mmm instances")
+    if args.theorem == 9 and args.mu is not None:
+        raise _UsageError("--mu only applies to theorems 5 and 6")
+    if args.theorem != 9 and args.bounds is not None:
+        raise _UsageError("--bounds only applies to theorem 9")
     text = _read(args.instance)
     if args.theorem == 5:
         reduced = x3c_to_cns(parse_x3c(text), 3 if args.mu is None else args.mu)

@@ -87,6 +87,8 @@ class EnumerationBudget:
     def __post_init__(self) -> None:
         if self.max_agents < 1:
             raise ValueError("max_agents must be positive")
+        if self.max_partitions < 0:
+            raise ValueError("max_partitions must be nonnegative")
 
 
 DEFAULT_BUDGET = EnumerationBudget()
@@ -175,7 +177,7 @@ def _search(
         yield chosen
         return
     lower = bounds.lower
-    fits = [True] + [feasible_partition_exists(r, bounds) for r in range(1, n + 1)]
+    fits = [feasible_partition_exists(r, bounds) for r in range(n + 1)]
     # remainder -> (candidates counted up to it, after it); such an r fits
     # only as one coalition, so r <= U and every size from L to r is a candidate
     closing = {

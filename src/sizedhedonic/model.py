@@ -251,20 +251,24 @@ def feasible_partition_exists(n: int, bounds: SizeBounds) -> bool:
 
     Holds exactly when n <= floor(n / lower) * upper: with floor(n / lower)
     coalitions of minimum size there is room for everyone, and no valid
-    partition can have more coalitions than that.
+    partition can have more coalitions than that.  Zero agents have exactly
+    one partition, the empty one, so n = 0 holds for every ``bounds``.
+    Raises ``ValueError`` for a negative n.
     """
-    if n < 1:
-        raise ValueError("agent count must be positive")
+    if n < 0:
+        raise ValueError("agent count must be nonnegative")
     return n <= (n // bounds.lower) * bounds.upper
 
 
 def feasible_k_partition_exists(n: int, k: int, bounds: SizeBounds) -> bool:
     """Whether n agents can be split into exactly k coalitions within bounds.
 
-    Holds exactly when k * lower <= n <= k * upper.
+    Holds exactly when k * lower <= n <= k * upper: so k = 0 holds only for
+    n = 0 (the empty partition), and n = 0 only for k = 0.  Raises
+    ``ValueError`` for a negative n or k.
     """
-    if n < 1 or k < 1:
-        raise ValueError("agent count and coalition count must be positive")
+    if n < 0 or k < 0:
+        raise ValueError("agent count and coalition count must be nonnegative")
     return k * bounds.lower <= n <= k * bounds.upper
 
 
@@ -294,8 +298,6 @@ def greedy_feasible_partition(agents: Iterable[int], bounds: SizeBounds) -> list
     """
     pool = list(agents)
     n = len(pool)
-    if n == 0:
-        return []
     if not feasible_partition_exists(n, bounds):
         return None
     count = n // bounds.lower

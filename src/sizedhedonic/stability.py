@@ -199,15 +199,22 @@ def verify(
 
 
 def apply_deviation(partition: Partition, deviation: Deviation) -> Partition:
-    """The partition after performing ``deviation``."""
+    """The partition after performing ``deviation``.
+
+    Raises ``ValueError`` when the target is the agent's own coalition or
+    not a coalition index of ``partition``.
+    """
     agent = deviation.agent
     source_idx = partition.index_of(agent)
-    if deviation.target == source_idx:
+    target = deviation.target
+    if target == source_idx:
         raise ValueError("deviation target equals the agent's current coalition")
+    if target is not None and not 0 <= target < len(partition):
+        raise ValueError(f"deviation target {target} is not a coalition index")
     coalitions: list[list[int]] = [list(c) for c in partition.coalitions]
     coalitions[source_idx].remove(agent)
-    if deviation.target is None:
+    if target is None:
         coalitions.append([agent])
     else:
-        coalitions[deviation.target].append(agent)
+        coalitions[target].append(agent)
     return Partition(c for c in coalitions if c)

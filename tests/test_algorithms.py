@@ -191,6 +191,27 @@ def test_k_coalition_solvers_decline_the_empty_game():
         assert solver(Game(0), SizeBounds(2, 3), 1) is None
 
 
+def test_k_coalition_solvers_split_the_empty_game_into_zero_coalitions():
+    b = SizeBounds(2, 3)
+    friends = Game(4, {(a, c): 1 for a in range(1, 5) for c in range(1, 5) if a != c})
+    for solver in (cis_star_nonzero, cis_star_nonneg):
+        assert solver(Game(0), b, 0) == Partition([])
+        assert solver(friends, b, 0) is None
+        with pytest.raises(ValueError):
+            solver(friends, b, -1)
+
+
+def test_solvers_agree_on_the_empty_game():
+    g, empty = Game(0), Partition([])
+    for lo, hi in ((1, 1), (1, 3), (2, 3), (3, 5)):
+        b = SizeBounds(lo, hi)
+        assert exists_stable(g, b, Concept.CIS) == empty
+        assert max_welfare_partition(g, b) == empty
+        assert symmetric_dynamics(g, b, empty) == (empty, 0)
+    assert cis_upper(g, 3) == (empty, ())
+    assert cns_pairs(g) == empty
+
+
 class TestCisStarNonneg:
     def test_all_zero_game(self):
         g = Game(6)
@@ -259,6 +280,17 @@ class TestSymmetricDynamics:
         g = intro_positive(2)
         with pytest.raises(InfeasiblePartitionError):
             symmetric_dynamics(g, SizeBounds(2, 2), Partition([[1], [2], [3], [4]]))
+
+    def test_start_partition_is_checked_by_verify(self):
+        g, b = intro_positive(2), SizeBounds(2, 2)
+        for init in (Partition([[1, 2]]), Partition([[1, 2], [3], [4]])):
+            with pytest.raises(Exception) as raised:
+                verify(g, init, b, Concept.NS_STAR)
+            with pytest.raises(type(raised.value)) as again:
+                symmetric_dynamics(g, b, init)
+            assert str(again.value) == str(raised.value)
+        with pytest.raises(NotSymmetricError):  # symmetry comes first
+            symmetric_dynamics(Game(2, {(1, 2): 1}), b, Partition([[1]]))
 
     def test_converges_with_exact_welfare_steps(self, rng):
         for _ in range(60):

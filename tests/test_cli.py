@@ -396,3 +396,69 @@ class TestReduceMu:
                 capsys, "reduce", "--from", source, "--theorem", theorem, "--mu", mu, str(inst)
             )
             assert (code, out) == (3, "")
+
+
+class TestReduceFlagsPerTheorem:
+    X3C = "x3c 6\nset 1 2 3\nset 2 3 4\nset 4 5 6\n"
+    MMM = "mmm 3 2\nedge 1 4\nedge 2 4\nedge 3 5\n"
+
+    @pytest.mark.parametrize("source, theorem, flag", [
+        ("x3c", "5", ["--bounds", "2:4"]),
+        ("mmm", "6", ["--bounds", "1:3"]),
+        ("x3c", "9", ["--mu", "7"]),
+    ])
+    def test_a_flag_the_theorem_does_not_take_is_exit_three(
+        self, capsys, tmp_path, source, theorem, flag
+    ):
+        inst = tmp_path / "inst"
+        inst.write_text(self.X3C if source == "x3c" else self.MMM)
+        extra = ["--bounds", "2:4"] if theorem == "9" else []
+        argv = ["reduce", "--from", source, "--theorem", theorem, *extra, str(inst)]
+        assert invoke(capsys, *argv)[0] == 0
+        code, out, err = invoke(capsys, *argv[:-1], *flag, str(inst))
+        assert (code, out) == (3, "") and "only applies to" in err
+
+
+class TestEmptyGame:
+    """Zero agents have one partition, the empty one, under any bounds."""
+
+    EMPTY = serialize_partition(Partition([]))
+
+    @pytest.fixture
+    def game(self, tmp_path):
+        path = tmp_path / "empty.ashg"
+        path.write_text("ashg 0\n")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ("exists", "--concept", "ns", "--bounds", "2:3", "--exact"),
+        ("exists", "--concept", "cis*", "--bounds", "1:3", "--exact"),
+        ("maxwelfare", "--bounds", "2:3"),
+        ("solve", "--concept", "cis", "--bounds", "1:3"),
+        ("solve", "--concept", "cis*", "--bounds", "2:3"),
+        ("solve", "--concept", "cns", "--bounds", "1:2"),
+        ("solve", "--concept", "ns*", "--bounds", "2:3"),
+        ("dynamics", "--bounds", "2:3"),
+    ])
+    def test_commands_print_the_empty_partition(self, capsys, game, argv):
+        assert invoke(capsys, *argv, game)[:2] == (0, self.EMPTY)
+
+    def test_maxwelfare_and_dynamics_report_zero(self, capsys, game):
+        assert invoke(capsys, "maxwelfare", "--bounds", "2:3", game)[2] == "welfare: 0\n"
+        assert invoke(capsys, "dynamics", "--bounds", "2:3", game)[2] == "steps: 0\n"
+
+    @pytest.mark.parametrize("concept", ["ns", "cis*"])
+    def test_verify_accepts_the_empty_partition_file(self, capsys, game, tmp_path, concept):
+        part = tmp_path / "empty.part"
+        part.write_text("")
+        code, out, _ = invoke(capsys, "verify", "--concept", concept, "--bounds", "2:3", game,
+                              str(part))
+        assert (code, out) == (0, "stable\n")
+
+    def test_a_coalition_count_is_still_checked(self, capsys, game):
+        assert invoke(
+            capsys, "solve", "--concept", "cis*", "--bounds", "2:3", "--k", "1", game
+        )[:2] == (2, "")
+        assert invoke(
+            capsys, "solve", "--concept", "cis*", "--bounds", "2:3", "--k", "0", game
+        )[:2] == (3, "")

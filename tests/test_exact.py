@@ -83,6 +83,25 @@ def test_islice_takes_a_prefix_up_to_the_cap():
         list(islice(enumerate_partitions(6, SizeBounds(1, 6), tight), 11))
 
 
+@pytest.mark.parametrize("cap", [-1, -10])
+def test_negative_partition_cap_is_rejected(cap):
+    with pytest.raises(ValueError, match="max_partitions"):
+        EnumerationBudget(max_partitions=cap)
+
+
+def test_zero_partition_cap_admits_no_step():
+    none = EnumerationBudget(max_partitions=0)
+    with pytest.raises(BudgetExceededError):
+        next(enumerate_partitions(3, SizeBounds(1, 3), none))
+    with pytest.raises(BudgetExceededError):
+        exists_stable(intro_positive(1), SizeBounds(1, 2), Concept.NS, none)
+
+
+def test_enumeration_of_zero_agents_is_the_empty_partition():
+    for b in (SizeBounds(1, 1), SizeBounds(2, 3), SizeBounds(4, 6)):
+        assert list(enumerate_partitions(0, b)) == [Partition([])]
+
+
 class TestHonestBudgets:
     # a quiet cap must not turn a truncated search into a verdict
     quiet = EnumerationBudget(max_partitions=1)

@@ -139,6 +139,35 @@ class TestFeasibilityArithmetic:
                     expected = n // lo >= 1 and feasible_k_partition_exists(n, n // lo, b)
                     assert feasible_partition_exists(n, b) == expected
 
+    def test_zero_agents_have_exactly_the_empty_partition(self):
+        for lo in range(1, 6):
+            for hi in range(lo, 7):
+                b = SizeBounds(lo, hi)
+                assert feasible_partition_exists(0, b)
+                assert feasible_k_partition_exists(0, 0, b)
+                for k in range(1, 4):
+                    assert not feasible_k_partition_exists(0, k, b)
+
+    def test_feasibility_matches_the_size_recursion_from_zero(self):
+        for n in range(0, 12):
+            for k in range(0, 6):
+                for lo in range(1, 4):
+                    for hi in range(lo, 5):
+                        b = SizeBounds(lo, hi)
+                        assert feasible_k_partition_exists(n, k, b) == sizes_decomposable_k(
+                            n, k, lo, hi
+                        )
+                        assert feasible_partition_exists(n, b) == sizes_decomposable(n, lo, hi)
+
+    def test_only_negative_counts_raise(self):
+        b = SizeBounds(2, 3)
+        with pytest.raises(ValueError):
+            feasible_partition_exists(-1, b)
+        with pytest.raises(ValueError):
+            feasible_k_partition_exists(-1, 1, b)
+        with pytest.raises(ValueError):
+            feasible_k_partition_exists(4, -1, b)
+
 
 class TestFeasibilityThreshold:
     def test_examples(self):

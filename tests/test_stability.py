@@ -273,6 +273,14 @@ def test_apply_deviation_moves_and_cleans_up():
         apply_deviation(p, Deviation(1, 0))
 
 
+@pytest.mark.parametrize("target", [-1, 3, 7])
+def test_apply_deviation_rejects_targets_that_are_no_coalition(target):
+    p = Partition([[1, 2], [3, 4], [5, 6]])
+    with pytest.raises(ValueError, match="not a coalition index"):
+        apply_deviation(p, Deviation(1, target))
+    assert apply_deviation(p, Deviation(1, 2)) == Partition([[1, 5, 6], [2], [3, 4]])
+
+
 class TestVerifyMatchesDefinitionalOracle:
     """``verify`` and ``dynamics_steps`` against the definitions alone.
 
