@@ -71,6 +71,16 @@ def _concept(text: str) -> Concept:
         raise _UsageError(str(exc)) from None
 
 
+def _budget(text: str) -> EnumerationBudget:
+    try:
+        max_n = int(text)
+    except ValueError:
+        raise _UsageError(f"--max-n must be an integer, got {text!r}") from None
+    if max_n < 1:
+        raise _UsageError(f"--max-n must be at least 1, got {max_n}")
+    return EnumerationBudget(max_agents=max_n)
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -171,8 +181,7 @@ def _cmd_exists(args) -> int:
     game = _load_game(args.game)
     if not feasible_partition_exists(game.n, args.bounds):
         return _no_partition(game.n, args.bounds)
-    budget = EnumerationBudget(max_agents=args.max_n)
-    partition = exists_stable(game, args.bounds, args.concept, budget)
+    partition = exists_stable(game, args.bounds, args.concept, args.budget)
     if partition is None:
         print(f"no {args.concept} partition exists within {args.bounds}", file=sys.stderr)
         return 1
@@ -184,8 +193,7 @@ def _cmd_maxwelfare(args) -> int:
     game = _load_game(args.game)
     if not feasible_partition_exists(game.n, args.bounds):
         return _no_partition(game.n, args.bounds)
-    budget = EnumerationBudget(max_agents=args.max_n)
-    partition = max_welfare_partition(game, args.bounds, budget)
+    partition = max_welfare_partition(game, args.bounds, args.budget)
     print(f"welfare: {social_welfare(game, partition)}", file=sys.stderr)
     _emit_partition(partition)
     return 0
@@ -276,13 +284,14 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--exact", action="store_true", required=True,
                    help="acknowledge the exhaustive (exponential) search")
-    p.add_argument("--max-n", type=int, default=12, help="agent budget (default 12)")
+    p.add_argument("--max-n", dest="budget", type=_budget, default=EnumerationBudget(),
+                   help="agent budget (default 12)")
     p.add_argument("game")
     p.set_defaults(handler=_cmd_exists)
 
     p = sub.add_parser("maxwelfare", help="maximize social welfare by branch and bound")
     common(p, concept=False)
-    p.add_argument("--max-n", type=int, default=12)
+    p.add_argument("--max-n", dest="budget", type=_budget, default=EnumerationBudget())
     p.add_argument("game")
     p.set_defaults(handler=_cmd_maxwelfare)
 

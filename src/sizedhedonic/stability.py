@@ -20,6 +20,7 @@ zero never vetoes.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .model import Game, InfeasiblePartitionError, Partition, SizeBounds, is_feasible_partition
@@ -125,23 +126,29 @@ def candidate_deviations(
 
     Scan order: agent id ascending, existing target coalitions by canonical
     index ascending, the new-singleton move last.  With a lower bound of 1
-    the permissible and feasible lists coincide.
+    the permissible and feasible lists coincide.  ``verify`` walks the same
+    sequence lazily and stops at its witness; this is the eager list.
     """
     if mode not in (PERMISSIBLE, FEASIBLE):
         raise ValueError(f"unknown deviation mode {mode!r}")
+    return list(_scan(partition, bounds, mode))
+
+
+def _scan(partition: Partition, bounds: SizeBounds, mode: str) -> Iterator[Deviation]:
+    """Yield the admissible deviations in the order ``candidate_deviations`` states."""
     open_targets = [
         idx for idx, c in enumerate(partition.coalitions) if len(c) < bounds.upper
     ]
-    result = []
     for agent in range(1, partition.n + 1):
         source_idx = partition.index_of(agent)
         source_size = len(partition.coalitions[source_idx])
         if mode == FEASIBLE and source_size != 1 and source_size - 1 < bounds.lower:
             continue  # leaving would strand the abandoned coalition
-        result.extend(Deviation(agent, idx) for idx in open_targets if idx != source_idx)
+        for idx in open_targets:
+            if idx != source_idx:
+                yield Deviation(agent, idx)
         if bounds.lower == 1 and source_size > 1:
-            result.append(Deviation(agent, None))
-    return result
+            yield Deviation(agent, None)
 
 
 def blocking_check(
@@ -182,7 +189,10 @@ def verify(
     The partition must respect the bounds; stability concepts are only
     defined on bound-respecting partitions.  The witness, when present, is
     the minimum blocking deviation under the canonical scan order, so
-    identical inputs always produce identical reports.
+    identical inputs always produce identical reports.  The scan is lazy: it
+    builds each admissible deviation only when it comes to it and stops at
+    the first blocking one, so its cost grows with ``checked_deviations``,
+    not with the length of ``candidate_deviations``.
     """
     if partition.n != game.n:
         raise ValueError(f"partition covers {partition.n} agents, game has {game.n}")
@@ -191,7 +201,7 @@ def verify(
             f"partition sizes {partition.sizes()} violate bounds {bounds}"
         )
     checked = 0
-    for deviation in candidate_deviations(game, partition, bounds, concept.mode):
+    for deviation in _scan(partition, bounds, concept.mode):
         checked += 1
         if blocking_check(game, partition, deviation, concept):
             return StabilityReport(concept, False, deviation, checked)

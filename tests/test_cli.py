@@ -462,3 +462,27 @@ class TestEmptyGame:
         assert invoke(
             capsys, "solve", "--concept", "cis*", "--bounds", "2:3", "--k", "0", game
         )[:2] == (3, "")
+
+
+class TestMaxNFlag:
+    """``--max-n`` is checked as a flag, in the user's terms."""
+
+    @pytest.mark.parametrize("argv, err", [
+        (("exists", "--concept", "ns", "--bounds", "2:3", "--exact", "--max-n", "0"),
+         "error: --max-n must be at least 1, got 0\n"),
+        (("maxwelfare", "--bounds", "2:3", "--max-n", "-1"),
+         "error: --max-n must be at least 1, got -1\n"),
+        (("maxwelfare", "--bounds", "2:3", "--max-n", "six"),
+         "error: --max-n must be an integer, got 'six'\n"),
+    ])
+    def test_bad_values_name_the_flag(self, capsys, files, argv, err):
+        assert invoke(capsys, *argv, files["intro_pos"]) == (3, "", err)
+
+    @pytest.mark.parametrize("argv", [
+        ("exists", "--concept", "ns*", "--bounds", "2:3", "--exact"),
+        ("maxwelfare", "--bounds", "2:3"),
+    ])
+    def test_a_budget_below_the_agent_count_is_still_exit_three(self, capsys, files, argv):
+        code, out, err = invoke(capsys, *argv, "--max-n", "5", files["intro_pos"])
+        assert (code, out) == (3, "") and "budget" in err
+        assert invoke(capsys, *argv, "--max-n", "6", files["intro_pos"])[0] == 0

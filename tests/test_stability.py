@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sizedhedonic import (
@@ -382,3 +384,65 @@ class TestVerifyMatchesDefinitionalOracle:
             except DynamicsCycleError:
                 pass
         assert steps > 50
+
+
+class TestLazyScan:
+    """``verify`` builds deviations only up to its witness, in the list's order."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        from sizedhedonic import stability
+
+        built = [0]
+
+        def counting(*args):
+            built[0] += 1
+            return Deviation(*args)
+
+        monkeypatch.setattr(stability, "Deviation", counting)
+        return built
+
+    def test_builds_stop_at_the_witness(self, monkeypatch):
+        rng = random.Random(400)
+        g = random_game(rng, 400)
+        b = SizeBounds(2, 5)
+        p = random_feasible_partition(rng, 400, b)
+        full = {mode: len(candidate_deviations(g, p, b, mode)) for mode in (PERMISSIBLE, FEASIBLE)}
+        built = self.count_builds(monkeypatch)
+        for concept in ALL_CONCEPTS:
+            built[0] = 0
+            report = verify(g, p, b, concept)
+            assert not report.stable
+            assert built[0] == report.checked_deviations < full[concept.mode]
+
+    def test_a_stable_partition_builds_the_whole_list(self, monkeypatch):
+        from sizedhedonic import cis_star_nonzero
+
+        g = random_game(random.Random(401), 400, nonzero=True)
+        b = SizeBounds(2, 5)
+        p = cis_star_nonzero(g, b, 100)
+        full = len(candidate_deviations(g, p, b, FEASIBLE))
+        built = self.count_builds(monkeypatch)
+        report = verify(g, p, b, Concept.CIS_STAR)
+        assert report.stable and full > 1000
+        assert built[0] == report.checked_deviations == full
+
+    def test_verify_walks_candidate_deviations_in_order(self, rng):
+        stable = unstable = 0
+        for g, b, p in TestVerifyMatchesDefinitionalOracle.corpus(rng):
+            for concept in ALL_CONCEPTS:
+                report = verify(g, p, b, concept)
+                devs = candidate_deviations(g, p, b, concept.mode)
+                if report.stable:
+                    assert report.checked_deviations == len(devs)
+                    stable += 1
+                else:
+                    assert report.witness == devs[report.checked_deviations - 1]
+                    unstable += 1
+        assert stable > 100 and unstable > 100
+
+    def test_unknown_mode_raises_at_the_call(self):
+        g = random_game_fixed()
+        p = Partition([[1, 2, 3], [4, 5]])
+        with pytest.raises(ValueError, match="unknown deviation mode"):
+            candidate_deviations(g, p, SizeBounds(1, 3), "nash")
