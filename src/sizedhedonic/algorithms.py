@@ -258,13 +258,15 @@ def cis_star_nonneg(game: Game, bounds: SizeBounds, k: int) -> Partition | None:
     while available:
         a = min(available)
         row = game.row(a)
-        liked = friends(game, a, available)
+        # the friends ranked once as ``top_set`` ranks them; the r - 1 best
+        # of them, in id order, are its result for every coalition
+        ranked = sorted(friends(game, a, available), key=lambda b: (-row[b], b))
         budgets = [min(x + max(0, lo - len(m)), hi - len(m)) for m in coalitions]
         best, target, helpers = 0, None, []
         for i, (members, r) in enumerate(zip(coalitions, budgets)):
             if r < 1:
                 continue
-            cand = top_set(game, a, liked, r - 1)
+            cand = sorted(ranked[: r - 1])
             gain = sum(row[b] for b in members) + sum(row[b] for b in cand)
             if gain > best:
                 best, target, helpers = gain, i, cand

@@ -16,6 +16,18 @@ since the search builds them in canonical form.
 
 ``enumerate_partitions`` prunes nothing else and yields every leaf.
 
+The two oracles also try interchangeable agents in one order only.  Agents
+a < b are twins when swapping them leaves the valuation table unchanged:
+v_a(b) = v_b(a), and v_a(x) = v_b(x) and v_x(a) = v_x(b) for every other x.
+The swap then maps a partition to one that is stable exactly when it is and
+has the same welfare.  The candidate loop drops a prefix whose newest member
+b has a smaller twin that is still unassigned and not in the prefix.  The
+swapped partition of each one dropped comes earlier in canonical order, as
+the coalition being built holds a in place of b, so the first stable
+partition and the first strict welfare maximum are always reached.  This is
+the lex-leader rule of symmetry breaking (Crawford, Ginsberg, Luks and Roy,
+KR 1996) for transpositions.  A game without twins gets no such hook.
+
 ``exists_stable`` rejects a candidate that blocks itself through a new
 singleton or that induces a blocking deviation with an already-completed
 coalition; such a deviation survives in every completion of the branch, so
@@ -74,6 +86,12 @@ class EnumerationBudget:
       would leave for a new singleton are never built and not counted;
     - ``max_welfare_partition``: complete partitions the search reaches;
       branch and bound reaches no more than a full enumeration yields.
+
+    In both oracles, candidates under a prefix dropped because it takes an
+    agent before a smaller twin (see the module docstring) are not built
+    and not counted, so a game with twins takes fewer steps than the plain
+    search would.  A remainder closed by one coalition is still counted by
+    formula in full.
 
     Every oracle raises ``BudgetExceededError`` at the cap, since a
     truncated search is no verdict.  To take only a prefix of the
@@ -152,6 +170,88 @@ def _coalition_candidates(leader: int, rest: list[int], bounds: SizeBounds, viab
         i = picked.pop() + 1
 
 
+def _twin_below(rows: list[list[int]], n: int) -> list[int] | None:
+    """Per agent b, its largest twin below it, or 0; None if no agent has one.
+
+    Agents a < b are twins when v_a(b) = v_b(a), and v_a(x) = v_b(x) and
+    v_x(a) = v_x(b) for every other x: swapping them is an automorphism of
+    the game.  Twinship is an equivalence, since the transpositions of two
+    twin pairs sharing an agent conjugate to a third, so each agent is tested
+    against one member of each twin class among the agents whose row and
+    column hold the same multisets of values.
+    """
+    columns = [list(column) for column in zip(*rows)]
+
+    def twins(a: int, b: int) -> bool:
+        # the swap maps a's row onto b's row and a's column onto b's column
+        row, column = rows[a][:], columns[a][:]
+        row[a], row[b] = row[b], row[a]
+        column[a], column[b] = column[b], column[a]
+        return row == rows[b] and column == columns[b]
+
+    groups: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
+    for a in range(1, n + 1):
+        key = (tuple(sorted(rows[a])), tuple(sorted(columns[a])))
+        groups.setdefault(key, []).append(a)
+    below = [0] * (n + 1)
+    for members in groups.values():
+        latest: list[int] = []  # the largest member so far of each twin class
+        for b in members:
+            for i, a in enumerate(latest):
+                if twins(a, b):
+                    below[b] = a
+                    latest[i] = b
+                    break
+            else:
+                latest.append(b)
+    return below if any(below) else None
+
+
+def _twin_viable_in(rows: list[list[int]], n: int):
+    """The ``viable_in`` hook of the twin rule (module docstring), or None
+    when the game has no twins, so that such a game runs the plain search.
+
+    A dropped prefix loses all its extensions too: later members are larger
+    than its newest member b, so none of them is b's smaller twin.  Testing
+    b's largest smaller twin alone is the same rule on the search's paths:
+    had a smaller one been left behind when that twin was placed, the twin's
+    own prefix would have been dropped.
+    """
+    below = _twin_below(rows, n)
+    if below is None:
+        return None
+
+    def viable_in(avail):
+        # each unassigned agent whose largest smaller twin is unassigned too;
+        # a frame without one needs no hook
+        unassigned = set(avail)
+        held = {b: below[b] for b in avail if below[b] in unassigned}
+        if not held:
+            return None
+
+        def viable(prefix):
+            twin = held.get(prefix[-1])
+            return twin is None or twin in prefix
+
+        return viable
+
+    return viable_in
+
+
+def _both(first, second):
+    """The ``viable_in`` hook that keeps a prefix only if both hooks keep it."""
+    if first is None or second is None:
+        return first or second
+
+    def viable_in(avail):
+        one, two = first(avail), second(avail)
+        if one is None or two is None:
+            return one or two
+        return lambda prefix: one(prefix) and two(prefix)
+
+    return viable_in
+
+
 def _search(
     n: int, bounds: SizeBounds, admit=None, max_tried: float = math.inf, viable_in=None
 ):
@@ -163,7 +263,7 @@ def _search(
     candidate, or the value to keep beside it on the stack; without a hook
     every candidate is kept with the value None.  ``viable_in(avail)``, when
     given, returns the ``viable`` prefix hook of the frame whose agents are
-    ``avail``.  Yields the stack, which is reused, at every complete
+    ``avail``, or None when that frame needs none.  Yields the stack, which is reused, at every complete
     partition.  Raises ``BudgetExceededError`` once more than ``max_tried``
     candidates have been tried.
 
@@ -261,7 +361,10 @@ def exists_stable(
 
     Equivalent to filtering ``enumerate_partitions`` through ``verify`` but
     prunes branches as soon as two completed coalitions block each other,
-    which keeps structured instances with dozens of agents tractable.
+    which keeps structured instances with dozens of agents tractable.  Of
+    the partitions that differ only by swapping twins, agents the game
+    cannot tell apart, it builds only the first in canonical order; the
+    others are stable exactly when it is, so the answer is the same.
     """
     budget = _checked_budget(game.n, budget)
     lower, upper = bounds.lower, bounds.upper
@@ -338,6 +441,7 @@ def exists_stable(
 
             return viable
 
+    viable_in = _both(_twin_viable_in(rows, game.n), viable_in)
     leaf = next(_search(game.n, bounds, admit, budget.max_partitions, viable_in), None)
     if leaf is None:
         return None
@@ -353,7 +457,10 @@ def max_welfare_partition(
 ) -> Partition | None:
     """A bound-respecting partition of maximum social welfare, or None.
 
-    Ties are resolved toward the first partition in canonical order.  For
+    Ties are resolved toward the first partition in canonical order.  Of
+    the partitions that differ only by swapping twins it reaches only the
+    first, which has the same welfare as the others, so the tie-break is
+    unchanged.  For
     symmetric games the result is stable for feasible Nash deviations; for
     arbitrary games it is stable for feasible contractual-individual
     deviations, because any such deviation strictly raises welfare.
@@ -402,7 +509,7 @@ def max_welfare_partition(
         return welfare if welfare + cap > best_welfare else None
 
     best = None
-    for chosen in _search(game.n, bounds, admit):
+    for chosen in _search(game.n, bounds, admit, viable_in=_twin_viable_in(rows, game.n)):
         best = _coalitions(chosen)
         best_welfare = chosen[-1][1] if chosen else 0
     return None if best is None else Partition._from_canonical(best)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sizedhedonic import (
@@ -241,6 +243,23 @@ class TestCisStarNonneg:
     def test_rejects_negative_valuations(self):
         with pytest.raises(ValueError):
             cis_star_nonneg(Game(2, {(1, 2): -1}), SizeBounds(2, 2), 1)
+
+    @pytest.mark.parametrize(
+        "seed, n, bounds, k, coalitions",
+        [
+            (5, 10, SizeBounds(2, 4), 3, ((1, 2, 3, 5), (4, 6, 7, 8), (9, 10))),
+            (5, 10, SizeBounds(2, 4), 4, ((1, 2, 3, 5), (4, 7), (6, 9), (8, 10))),
+            (6, 11, SizeBounds(2, 5), 3, ((1, 3, 4, 8, 9), (2, 5, 10, 11), (6, 7))),
+            (6, 11, SizeBounds(2, 5), 5, ((1, 3, 8), (2, 5), (4, 9), (6, 11), (7, 10))),
+            (7, 12, SizeBounds(3, 5), 3, ((1, 2, 3, 4, 8), (5, 9, 10, 11), (6, 7, 12))),
+            (7, 12, SizeBounds(3, 5), 4, ((1, 2, 4), (3, 6, 7), (5, 9, 11), (8, 10, 12))),
+        ],
+    )
+    def test_partitions_are_pinned(self, seed, n, bounds, k, coalitions):
+        # valuations 0..3 tie often, so these pin the helpers' tie-breaking
+        # toward the lowest id as well as the choice of coalition
+        g = random_game(random.Random(seed), n, low=0, high=3, nonneg=True)
+        assert cis_star_nonneg(g, bounds, k).coalitions == coalitions
 
     def test_soundness_sweep(self, rng):
         for _ in range(200):

@@ -381,6 +381,31 @@ class TestPartitionInputsPinned:
             assert (code, out) == (3, "")
 
 
+class TestTheorem9Pipeline:
+    # the smallest Theorem-9 games, 17 agents at 2:4; the exact search
+    # decides them only because it tries interchangeable agents in one order
+    @pytest.mark.parametrize(
+        "sets, code",
+        [("set 1 2 3\nset 4 5 6\n", 0), ("set 1 2 3\nset 3 4 5\n", 1)],
+        ids=["cover", "no-cover"],
+    )
+    def test_reduced_game_feeds_exists(self, capsys, tmp_path, sets, code):
+        inst = tmp_path / "inst.x3c"
+        inst.write_text("x3c 6\n" + sets)
+        status, game_text, _ = invoke(
+            capsys, "reduce", "--from", "x3c", "--theorem", "9", "--bounds", "2:4", str(inst)
+        )
+        assert status == 0
+        game_path = tmp_path / "game"
+        game_path.write_text(game_text)
+        argv = ["exists", "--concept", "ns", "--bounds", "2:4", "--exact", "--max-n", "17"]
+        status, out, _ = invoke(capsys, *argv, str(game_path))
+        assert status == code
+        if code == 0:
+            partition = parse_partition(out)
+            assert verify(parse_game(game_text), partition, SizeBounds(2, 4), Concept.NS).stable
+
+
 class TestReduceMu:
     @pytest.mark.parametrize("theorem, source, text, low", [
         ("5", "x3c", "x3c 6\nset 1 2 3\nset 2 3 4\nset 4 5 6\n", 2),
