@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 from .model import Game, Partition, SizeBounds, feasible_partition_exists
 from .stability import Concept, verify
@@ -178,7 +179,8 @@ def _twin_below(rows: list[list[int]], n: int) -> list[int] | None:
     the game.  Twinship is an equivalence, since the transpositions of two
     twin pairs sharing an agent conjugate to a third, so each agent is tested
     against one member of each twin class among the agents whose row and
-    column hold the same multisets of values.
+    column hold the same multisets of values, and take the same values at
+    every agent outside that group.
     """
     columns = [list(column) for column in zip(*rows)]
 
@@ -194,16 +196,31 @@ def _twin_below(rows: list[list[int]], n: int) -> list[int] | None:
         key = (tuple(sorted(rows[a])), tuple(sorted(columns[a])))
         groups.setdefault(key, []).append(a)
     below = [0] * (n + 1)
-    for members in groups.values():
-        latest: list[int] = []  # the largest member so far of each twin class
-        for b in members:
-            for i, a in enumerate(latest):
-                if twins(a, b):
-                    below[b] = a
-                    latest[i] = b
-                    break
-            else:
-                latest.append(b)
+    for group in groups.values():
+        parts = [group]
+        if len(group) > 7:
+            # Twins in the group agree on every agent outside it.  Splitting
+            # on those values costs one key per member, about three pair
+            # tests, so it pays only once a group has over three times as
+            # many pairs as members.
+            outside = [1] * (n + 1)
+            for a in group:
+                outside[a] = 0
+            split: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
+            for a in group:
+                key = (tuple(compress(rows[a], outside)), tuple(compress(columns[a], outside)))
+                split.setdefault(key, []).append(a)
+            parts = list(split.values())
+        for members in parts:
+            latest: list[int] = []  # the largest member so far of each twin class
+            for b in members:
+                for i, a in enumerate(latest):
+                    if twins(a, b):
+                        below[b] = a
+                        latest[i] = b
+                        break
+                else:
+                    latest.append(b)
     return below if any(below) else None
 
 

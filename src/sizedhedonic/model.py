@@ -23,8 +23,9 @@ class SizeBounds:
     upper: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.lower, int) and isinstance(self.upper, int)):
-            raise ValueError("size bounds must be integers")
+        for bound in (self.lower, self.upper):
+            if not isinstance(bound, int) or isinstance(bound, bool):
+                raise ValueError("size bounds must be integers")
         if not 1 <= self.lower <= self.upper:
             raise ValueError(f"invalid size bounds ({self.lower}, {self.upper})")
 

@@ -1,4 +1,4 @@
-"""Line-oriented text formats for games, partitions, and source instances.
+r"""Line-oriented text formats for games, partitions, and source instances.
 
 Formats (blank lines are ignored everywhere; ids are 1-based):
 
@@ -13,11 +13,19 @@ Formats (blank lines are ignored everywhere; ids are 1-based):
 * matching:   ``match <i> <j>`` per matched edge.
 
 ``parse`` / ``serialize`` round-trip on canonical form.
+
+A canonical game file (ASCII, ``\n`` line breaks, the header and then only
+``v i j w`` lines, as ``serialize_game`` writes) is parsed in bulk, a few
+kilobytes at a time; every other game text is parsed line by line, with
+identical results and errors.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
+from itertools import repeat
+from operator import setitem
 from pathlib import Path
 
 from .model import Game, Partition
@@ -45,7 +53,96 @@ def _int(token: str, number: int, what: str) -> int:
 
 
 def parse_game(text: str) -> Game:
-    """Parse the game format in one pass, straight into the valuation table.
+    """Parse the game format into a ``Game``.
+
+    A canonical text, such as ``serialize_game`` writes, is read in bulk by
+    ``_parse_canonical_game``.  Any other text, and every text with an
+    error, is read by the line loop ``_parse_game_lines``.  Both build the
+    same table, and only the line loop raises, so each error keeps its text
+    and line number.
+    """
+    game = _parse_canonical_game(text)
+    return game if game is not None else _parse_game_lines(text)
+
+
+# Characters per bulk chunk; a chunk runs on to the end of its last line.
+_CHUNK = 1 << 12
+# The ASCII line breaks of str.splitlines other than "\n".
+_OTHER_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+
+
+def _parse_canonical_game(text: str) -> Game | None:
+    r"""The game of a canonical text, or None for a text it cannot vouch for.
+
+    Canonical means ASCII with ``\n`` as the only line break, the header
+    ``ashg <n>`` or ``ashg <n> symmetric`` on the first line, and then only
+    lines that begin with ``v `` and hold four tokens.  The body is read in
+    chunks of about ``_CHUNK`` characters cut after a ``\n``, so no list of
+    the whole file is kept.  A chunk of L lines, each beginning with ``v ``,
+    must split into 4L tokens.  The i and j columns (tokens 1, 5, 9, ...
+    and 2, 6, 10, ...) go through a dict of the strings ``"1"``..``"n"``,
+    which also checks their range, and each distinct string of the w column
+    through ``int``, as in the line loop.  Since ``v`` is neither an id nor
+    an integer, the L ``v`` that begin the lines then all sit in the
+    L places of the tag column, so each line is exactly ``v i j w``.  The
+    table and a seen-marker are filled by C-level scatters, and the marks
+    are counted at the end: a self-valuation marks the diagonal, and a
+    repeated pair (under ``symmetric``, either direction of a given pair)
+    marks fewer cells than there are lines.  Any failed check returns None,
+    and the line loop then reads the text and raises its error.
+    """
+    if not text.isascii() or any(map(text.__contains__, _OTHER_LINE_BREAKS)):
+        return None
+    end = text.find("\n")
+    header = (text if end < 0 else text[:end]).split(" ")
+    if header[0] != "ashg" or len(header) not in (2, 3) or header[2:] not in ([], ["symmetric"]):
+        return None
+    try:
+        n = int(header[1])
+    except ValueError:
+        return None
+    if n < 0:
+        return None
+    symmetric = len(header) == 3
+    ids = {str(a): a for a in range(1, n + 1)}
+    table = [[0] * (n + 1) for _ in range(n + 1)]
+    seen = [bytearray(n + 1) for _ in range(n + 1)]
+    given = 0
+    size = len(text)
+    start = end + 1 if end >= 0 else size
+    while start < size:
+        stop = text.find("\n", start + _CHUNK) + 1 or size
+        chunk = text[start:stop]
+        start = stop
+        lines = chunk.count("\n") + (not chunk.endswith("\n"))
+        tokens = chunk.split()
+        if (
+            len(tokens) != 4 * lines
+            or not chunk.startswith("v ")
+            or chunk.count("\nv ") != lines - 1
+        ):
+            return None
+        try:
+            agents = list(map(ids.__getitem__, tokens[1::4]))
+            others = list(map(ids.__getitem__, tokens[2::4]))
+            weights = {w: int(w) for w in set(tokens[3::4])}
+        except (KeyError, ValueError):
+            return None
+        values = list(map(weights.__getitem__, tokens[3::4]))
+        deque(map(setitem, map(table.__getitem__, agents), others, values), 0)
+        deque(map(setitem, map(seen.__getitem__, agents), others, repeat(1)), 0)
+        if symmetric:
+            deque(map(setitem, map(table.__getitem__, others), agents, values), 0)
+            deque(map(setitem, map(seen.__getitem__, others), agents, repeat(1)), 0)
+        given += lines
+    marks = b"".join(seen)
+    if any(marks[:: n + 2]) or marks.count(1) != given * (2 if symmetric else 1):
+        return None
+    return Game._from_table(n, table, symmetric)
+
+
+def _parse_game_lines(text: str) -> Game:
+    """Parse the game format line by line, straight into the valuation table.
 
     Each ``v`` line is checked and written into the (n+1)² table as it is
     read; one bytearray per row marks the pairs already given, so a repeated

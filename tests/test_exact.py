@@ -491,6 +491,36 @@ class TestTwinPruning:
             assert reported == brute
             assert all(below[b] < b and (below[b], b) in brute for b in g.agents if below[b])
 
+    @staticmethod
+    def pairwise_twin_below(rows, n):
+        """``_twin_below`` by the definition, pair by pair: v_a(b) = v_b(a),
+        and v_a(x) = v_b(x) and v_x(a) = v_x(b) for every other x."""
+        below = [0] * (n + 1)
+        for b in range(1, n + 1):
+            for a in range(1, b):
+                others = [x for x in range(1, n + 1) if x not in (a, b)]
+                if rows[a][b] == rows[b][a] and all(
+                    rows[a][x] == rows[b][x] and rows[x][a] == rows[x][b] for x in others
+                ):
+                    below[b] = a
+        return below if any(below) else None
+
+    def test_twin_below_matches_the_pairwise_definition(self, rng):
+        games = [twin_game(rng, rng.randint(1, 24), *rng.choice([(-3, 3), (-1, 1), (0, 1)]))
+                 for _ in range(120)]
+        games += [
+            x3c_to_cns(X3CInstance(6, ((1, 2, 3), (2, 3, 4), (4, 5, 6))), 3).game,
+            x3c_to_cns(X3CInstance(6, ((1, 2, 3), (2, 3, 4), (4, 5, 6), (1, 5, 6))), 3).game,
+            x3c_to_cns(X3CInstance(3, ((1, 2, 3), (1, 2, 3))), 4).game,
+            mmm_to_ns_is(MMMInstance(3, 2, ((1, 4), (2, 4), (3, 5))), 3).game,
+            mmm_to_ns_is(MMMInstance(4, 2, ((1, 5), (2, 6))), 2).game,
+            x3c_to_ns_bounded(X3CInstance(6, ((1, 2, 3), (4, 5, 6))), SizeBounds(2, 4)).game,
+            x3c_to_ns_bounded(X3CInstance(6, ((1, 2, 3), (3, 4, 5))), SizeBounds(3, 5)).game,
+        ]
+        for g in games:
+            rows = [g.row(a) for a in range(g.n + 1)]
+            assert exact._twin_below(rows, g.n) == self.pairwise_twin_below(rows, g.n), g
+
     def test_twin_free_games_get_no_hook(self, rng):
         # such games run the search exactly as before, step for step
         games = [cycle_no_is_star(5), cycle_no_is_star(7)]

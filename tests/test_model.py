@@ -101,6 +101,16 @@ class TestPartition:
         assert is_feasible_partition(singleton_partition(4), SizeBounds(1, 5))
 
 
+class TestSizeBounds:
+    @pytest.mark.parametrize("lower, upper", [(True, 2), (1, True), (False, True), (1.0, 2), (1, "2")])
+    def test_non_integers_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="^size bounds must be integers$"):
+            SizeBounds(lower, upper)
+
+    def test_integers_accepted(self):
+        assert str(SizeBounds(1, 2)) == "1:2"
+
+
 class TestFeasibilityArithmetic:
     def test_eight_agents_between_five_and_seven(self):
         assert not feasible_partition_exists(8, SizeBounds(5, 7))

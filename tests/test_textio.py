@@ -14,6 +14,7 @@ from sizedhedonic import (
     star_no_cis,
     x3c_to_cns,
 )
+from sizedhedonic import textio
 from sizedhedonic.model import Game
 from sizedhedonic.textio import (
     ParseError,
@@ -272,3 +273,235 @@ def test_round_trip_at_two_hundred_agents():
     sym.update({(b, a): w for (a, b), w in sym.items()})
     s = Game(n, sym, symmetric=True)
     assert parse_game(serialize_game(s)) == s
+
+
+# The bulk pass of parse_game against the line loop it falls back to: on
+# every text both return an equal Game, or raise the same ParseError text
+# on the same line.  Valid texts are mutated into the forms the bulk pass
+# must leave to the line loop, valid or not.
+
+LINE_BREAKS = ["\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x85", "\u2028"]
+
+
+# Integers that int() reads but str() does not write; "\u0663" is an
+# Arabic-Indic 3 and "\uff13" a full-width 3.
+NON_CANONICAL_INTEGERS = ["+3", "007", "-03", "1_0", "-0", "+0", "00", "\u0663", "\uff13"]
+
+
+def outcome(parse, text):
+    try:
+        return "game", parse(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+
+
+@st.composite
+def game_texts(draw):
+    """A canonical game text and the same text under up to four mutations,
+    with the number of mutations applied."""
+    n = draw(st.integers(0, 7), label="n")
+    symmetric = draw(st.booleans(), label="symmetric")
+    if symmetric:
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    else:
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    header = ["ashg", str(n)] + (["symmetric"] if symmetric else [])
+    lines = [["v", str(a), str(b), str(draw(st.integers(-12, 12)))] for a, b in chosen]
+    canonical = "\n".join(" ".join(t) for t in [header, *lines]) + "\n"
+    mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=4), label="mutations")
+    # each line is (leading text, tokens, separator, line break)
+    rows = [["", header, " ", "\n"]] + [["", tokens, " ", "\n"] for tokens in lines]
+    for mutate in mutations:
+        mutate(draw, rows, n)
+    text = "".join(lead + sep.join(tokens) + end for lead, tokens, sep, end in rows)
+    return canonical, text, len(mutations)
+
+
+def _body_index(draw, rows, insert=False):
+    return draw(st.integers(1, len(rows) if insert else len(rows) - 1))
+
+
+def _blank(draw, rows, n):
+    rows.insert(_body_index(draw, rows, True), [draw(st.sampled_from(["", "  ", "\t", " \t "])), [], " ", "\n"])
+
+
+def _indent(draw, rows, n):
+    draw(st.sampled_from(rows))[0] = draw(st.sampled_from([" ", "\t", "\x1f"]))
+
+
+def _separator(draw, rows, n):
+    draw(st.sampled_from(rows))[2] = draw(st.sampled_from(["\t", "  ", " \t", "\xa0", "\u3000"]))
+
+
+def _line_break(draw, rows, n):
+    draw(st.sampled_from(rows))[3] = draw(st.sampled_from(LINE_BREAKS))
+
+
+def _no_final_newline(draw, rows, n):
+    rows[-1][3] = ""
+
+
+def _respell(draw, rows, n):
+    tokens = draw(st.sampled_from(rows))[1]
+    if len(tokens) > 1:
+        k = draw(st.integers(1, len(tokens) - 1)) if tokens[0] == "v" else 1
+        tokens[k] = draw(st.sampled_from(NON_CANONICAL_INTEGERS))
+
+
+def _out_of_range(draw, rows, n):
+    if len(rows) > 1:
+        tokens = rows[_body_index(draw, rows)][1]
+        if len(tokens) > 2:
+            tokens[draw(st.sampled_from([1, 2]))] = draw(st.sampled_from(["0", str(n + 1)]))
+
+
+def _self_valuation(draw, rows, n):
+    if n:
+        a = str(draw(st.integers(1, n)))
+        rows.insert(_body_index(draw, rows, True), ["", ["v", a, a, "1"], " ", "\n"])
+
+
+def _arity(draw, rows, n):
+    if len(rows) > 1:
+        tokens = rows[_body_index(draw, rows)][1]
+        if tokens and draw(st.booleans()):
+            tokens.pop()
+        else:
+            tokens.append(draw(st.sampled_from(["1", "v", "x"])))
+
+
+def _repeat(draw, rows, n):
+    # a pair given again, as is or reversed, with its weight, another one or 0
+    if len(rows) > 1:
+        tokens = rows[_body_index(draw, rows)][1]
+        if len(tokens) == 4 and tokens[0] == "v":
+            _, a, b, w = tokens
+            if draw(st.booleans()):
+                a, b = b, a
+            w = draw(st.sampled_from([w, "0", str(draw(st.integers(-3, 3)))]))
+            rows.insert(_body_index(draw, rows, True), ["", ["v", a, b, w], " ", "\n"])
+
+
+def _no_agents(draw, rows, n):
+    rows[0][1][1] = "0"
+
+
+def _not_an_integer(draw, rows, n):
+    tokens = draw(st.sampled_from(rows))[1]
+    if len(tokens) > 1:
+        tokens[draw(st.integers(1, len(tokens) - 1))] = draw(st.sampled_from(["x", "1.5", "3-"]))
+
+
+def _tag(draw, rows, n):
+    if len(rows) > 1:
+        tokens = rows[_body_index(draw, rows)][1]
+        if tokens:
+            tokens[0] = draw(st.sampled_from(["w", "V", "vv", "ashg"]))
+
+
+MUTATIONS = [
+    _blank, _indent, _separator, _line_break, _no_final_newline, _respell,
+    _out_of_range, _self_valuation, _arity, _repeat, _no_agents, _not_an_integer, _tag,
+]
+
+
+@given(game_texts())
+@settings(max_examples=400, deadline=None)
+def test_parse_game_matches_line_loop(case):
+    canonical, text, mutated = case
+    assert outcome(parse_game, text) == outcome(textio._parse_game_lines, text)
+    if not mutated:
+        assert text == canonical
+        assert textio._parse_canonical_game(text) == textio._parse_game_lines(text)
+
+
+# Texts on which a bulk pass that missed one of its checks would differ from
+# the line loop, valid ones among them.
+EDGE_GAME_TEXTS = [
+    *(f"ashg 2\nv 1 2 {c}3\n" for c in ["\n", *LINE_BREAKS, "\x1d", "\x1e", "\u2029"]),
+    *(f"ashg 2\nv 1 2 3{c}v 2 1 4\n" for c in LINE_BREAKS),
+    "ashg 2\nw 1 2 3\n",
+    "ashg 3\nv 1 2 3\nw 1 3 4\n",
+    "ashg 3\nv 1 2 3\nvv 1 3 4\n",
+    "ashg 3\nv1 2 3 4\n",
+    "ashg 3\nv 1 2 3\nv 2 1 3 4\n",
+    "ashg 3\nv 1 2\nv 1 3 2 1\n",
+    "ashg 3\nv 1 2 3 v\nv 1 2\n",
+    "ashg 3\nv 1 2 3\nv v 1 2\n",
+    "ashg 3\nv \nv 1 2 3 4 1 3\n",
+    "ashg 3\nv 1 2 3\n\nv 2 1 3\n",
+    "ashg 3\nv 1 2 3\n \nv 2 1 3\n",
+    "ashg 3\n v 1 2 3\n",
+    "ashg 3\nv  1 2 3\nv\t2 1 3\nv 3 1 3 \n",
+    "ashg 3\r\nv 1 2 3\r\n",
+    "\nashg 3\nv 1 2 3\n",
+    "ashg +3\nv 1 2 3\n",
+    "ashg 03\nv 1 2 3\n",
+    "ashg 3 \nv 1 2 3\n",
+    "ashg  3\nv 1 2 3\n",
+    "ashg 3\t\nv 1 2 3\n",
+    "ashg 3 symmetric \nv 1 2 3\n",
+    "ashg -1\n",
+    "ashg x\n",
+    "ashg 2",
+    "ashg 2 symmetric",
+    "ashg 2\nv 1 2 3",
+    "ashg 2\nv 1 2 3\nv",
+    "ashg 3\nv 1 1 3\n",
+    "ashg 3 symmetric\nv 2 2 0\n",
+    "ashg 3\nv 1 2 3\nv 1 2 3\n",
+    "ashg 3\nv 1 2 3\nv 2 1 3\n",
+    "ashg 3 symmetric\nv 1 2 0\nv 2 1 0\n",
+    "ashg 3 symmetric\nv 1 2 0\nv 2 1 5\n",
+    "ashg 3\nv 01 2 3\n",
+    "ashg 3\nv 1 +2 3\n",
+    *(f"ashg 3\nv 1 2 {w}\n" for w in [*NON_CANONICAL_INTEGERS, "x", "1.5"]),
+    "ashg 3\nv 0 1 3\n",
+    "ashg 3\nv 1 4 3\n",
+    "ashg 0\nv 1 2 3\n",
+    "ashg 0\n",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_GAME_TEXTS)
+def test_parse_game_matches_line_loop_on_edge_texts(text):
+    assert outcome(parse_game, text) == outcome(textio._parse_game_lines, text)
+
+
+def test_repeat_in_a_later_chunk_is_caught():
+    g = Game(60, {(a, b): a - b for a in range(1, 61) for b in range(1, 61) if a != b})
+    text = serialize_game(g)
+    assert len(text) > 2 * textio._CHUNK
+    first = text.split("\n")[1]
+    for extra in (first, "v 2 1 9", "v 60 60 1"):
+        with pytest.raises(ParseError) as info:
+            parse_game(text + extra + "\n")
+        assert info.value.line == text.count("\n") + 1
+
+
+def test_canonical_200_agent_text_takes_the_bulk_pass(monkeypatch):
+    import random
+
+    rng = random.Random(201)
+    n = 200
+    vals = {
+        (a, b): rng.randint(-9, 9)
+        for a in range(1, n + 1)
+        for b in range(1, n + 1)
+        if a != b and rng.random() < 0.5
+    }
+    games = [Game(n, vals)]
+    sym = {(a, b): w for (a, b), w in vals.items() if a < b}
+    sym.update({(b, a): w for (a, b), w in sym.items()})
+    games.append(Game(n, sym, symmetric=True))
+    texts = [serialize_game(g) for g in games]
+
+    def line_loop(text):
+        raise AssertionError("the line loop ran on a canonical text")
+
+    monkeypatch.setattr(textio, "_parse_game_lines", line_loop)
+    for g, text in zip(games, texts):
+        assert len(text) > 4 * textio._CHUNK  # several chunks
+        assert parse_game(text) == g
+        assert parse_game(text.rstrip("\n")) == g
