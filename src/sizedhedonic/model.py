@@ -56,6 +56,8 @@ class Game:
         valuations: Mapping[tuple[int, int], int] | None = None,
         symmetric: bool = False,
     ) -> None:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"agent count must be an integer, got {n!r}")
         if n < 0:
             raise ValueError("agent count must be nonnegative")
         self.n = n
@@ -164,9 +166,10 @@ class Game:
 class Partition:
     """A set of disjoint, nonempty coalitions covering agents 1..n.
 
-    Stored in canonical form: members of each coalition ascending, coalitions
-    ordered by their minimum member.  Coalition indices used elsewhere in the
-    package (deviation targets, witnesses) refer to this canonical order.
+    Agent ids are integers (not ``bool``).  Stored in canonical form: members
+    of each coalition ascending, coalitions ordered by their minimum member.
+    Coalition indices used elsewhere in the package (deviation targets,
+    witnesses) refer to this canonical order.
     """
 
     __slots__ = ("coalitions", "n", "_index")
@@ -182,12 +185,19 @@ class Partition:
             canon.append(members)
         canon.sort()
         n = sum(len(c) for c in canon)
-        index: dict[int, int] = {}
-        for i, c in enumerate(canon):
-            for a in c:
-                if a in index:
-                    raise ValueError(f"agent {a} appears in more than one coalition")
-                index[a] = i
+        # one pass builds the index; the loops below run only to name what is wrong
+        index = {a: i for i, c in enumerate(canon) for a in c}
+        if len(index) != n:
+            seen: set[int] = set()
+            for c in canon:
+                for a in c:
+                    if a in seen:
+                        raise ValueError(f"agent {a} appears in more than one coalition")
+                    seen.add(a)
+        if not set(map(type, index)) <= {int}:
+            for a in index:
+                if not isinstance(a, int) or isinstance(a, bool):
+                    raise ValueError(f"agent ids must be integers, got {a!r}")
         if set(index) != set(range(1, n + 1)):
             raise ValueError("coalitions must cover exactly the agents 1..n")
         self.coalitions = tuple(canon)

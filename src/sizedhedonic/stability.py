@@ -15,6 +15,9 @@ individual-style concepts give a veto to members of the joined coalition who
 would strictly lose, contractual-style concepts to members of the abandoned
 coalition who would strictly lose.  An agent whose valuation of the mover is
 zero never vetoes.
+
+The abandoned-coalition veto depends only on the mover, never on the target,
+so ``verify`` decides it once per agent and skips a held-back mover whole.
 """
 
 from __future__ import annotations
@@ -131,24 +134,52 @@ def candidate_deviations(
     """
     if mode not in (PERMISSIBLE, FEASIBLE):
         raise ValueError(f"unknown deviation mode {mode!r}")
-    return list(_scan(partition, bounds, mode))
+    return [move for _, _, _, moves in _scan(partition, bounds, mode) for move in moves]
 
 
-def _scan(partition: Partition, bounds: SizeBounds, mode: str) -> Iterator[Deviation]:
-    """Yield the admissible deviations in the order ``candidate_deviations`` states."""
-    open_targets = [
-        idx for idx, c in enumerate(partition.coalitions) if len(c) < bounds.upper
-    ]
+def _scan(
+    partition: Partition, bounds: SizeBounds, mode: str
+) -> Iterator[tuple[int, tuple[int, ...], int, Iterator[Deviation]]]:
+    """Per agent, in the order ``candidate_deviations`` states, its admissible moves.
+
+    Yields ``(agent, source, count, moves)``, where ``source`` is the agent's
+    coalition and ``moves`` builds its ``count`` deviations lazily, so a
+    caller can count them without building them.  An agent the feasible mode
+    strands is not yielded.
+    """
+    lower, upper = bounds.lower, bounds.upper
+    open_targets = [idx for idx, c in enumerate(partition.coalitions) if len(c) < upper]
+    n_open = len(open_targets)
+    feasible = mode == FEASIBLE
     for agent in range(1, partition.n + 1):
         source_idx = partition.index_of(agent)
-        source_size = len(partition.coalitions[source_idx])
-        if mode == FEASIBLE and source_size != 1 and source_size - 1 < bounds.lower:
+        source = partition.coalitions[source_idx]
+        size = len(source)
+        if feasible and size != 1 and size - 1 < lower:
             continue  # leaving would strand the abandoned coalition
-        for idx in open_targets:
-            if idx != source_idx:
-                yield Deviation(agent, idx)
-        if bounds.lower == 1 and source_size > 1:
-            yield Deviation(agent, None)
+        singleton = lower == 1 and size > 1
+        count = n_open - (size < upper) + singleton  # own coalition is no target
+        yield agent, source, count, _moves(agent, source_idx, open_targets, singleton)
+
+
+def _moves(
+    agent: int, source_idx: int, open_targets: list[int], singleton: bool
+) -> Iterator[Deviation]:
+    """The moves of ``agent``: each open target but its own, then a new singleton."""
+    for idx in open_targets:
+        if idx != source_idx:
+            yield Deviation(agent, idx)
+    if singleton:
+        yield Deviation(agent, None)
+
+
+def _abandoned_veto(game: Game, agent: int, source: tuple[int, ...]) -> bool:
+    """Whether a member of ``source``, the coalition ``agent`` leaves, values it positively.
+
+    Under abandoned consent such a member would strictly lose by any move of
+    ``agent``, whatever the target, and so vetoes them all.
+    """
+    return any(game.row(b)[agent] > 0 for b in source)  # row(agent)[agent] is 0
 
 
 def blocking_check(
@@ -175,9 +206,8 @@ def blocking_check(
     if concept.joined_consent:
         if any(game.row(b)[agent] < 0 for b in target_members):
             return False
-    if concept.abandoned_consent:
-        if any(game.row(b)[agent] > 0 for b in source):
-            return False
+    if concept.abandoned_consent and _abandoned_veto(game, agent, source):
+        return False
     return True
 
 
@@ -191,8 +221,11 @@ def verify(
     the minimum blocking deviation under the canonical scan order, so
     identical inputs always produce identical reports.  The scan is lazy: it
     builds each admissible deviation only when it comes to it and stops at
-    the first blocking one, so its cost grows with ``checked_deviations``,
-    not with the length of ``candidate_deviations``.
+    the first blocking one.  Under abandoned consent (CNS, CIS and their
+    feasible variants) the veto depends on the mover alone, so it is decided
+    once per agent: a mover held back by its source coalition costs one pass
+    over that coalition, and its moves are counted in ``checked_deviations``
+    without being built.  Every other move costs one ``blocking_check``.
     """
     if partition.n != game.n:
         raise ValueError(f"partition covers {partition.n} agents, game has {game.n}")
@@ -201,10 +234,15 @@ def verify(
             f"partition sizes {partition.sizes()} violate bounds {bounds}"
         )
     checked = 0
-    for deviation in _scan(partition, bounds, concept.mode):
-        checked += 1
-        if blocking_check(game, partition, deviation, concept):
-            return StabilityReport(concept, False, deviation, checked)
+    vetoes = concept.abandoned_consent
+    for agent, source, count, moves in _scan(partition, bounds, concept.mode):
+        if vetoes and _abandoned_veto(game, agent, source):
+            checked += count  # every move of this agent is vetoed
+            continue
+        for deviation in moves:
+            checked += 1
+            if blocking_check(game, partition, deviation, concept):
+                return StabilityReport(concept, False, deviation, checked)
     return StabilityReport(concept, True, None, checked)
 
 

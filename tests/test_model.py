@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,12 @@ class TestGame:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             Game(2, {(1, 3): 1})
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+    def test_non_integer_agent_count_rejected(self, n):
+        message = f"^agent count must be an integer, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            Game(n)
 
     def test_symmetric_flag_validated(self):
         with pytest.raises(ValueError):
@@ -99,6 +106,27 @@ class TestPartition:
         assert is_feasible_partition(Partition([[1, 2], [3, 4, 5]]), b)
         assert not is_feasible_partition(Partition([[1, 2, 3, 4], [5, 6]]), b)
         assert is_feasible_partition(singleton_partition(4), SizeBounds(1, 5))
+
+    @pytest.mark.parametrize(
+        "coalitions, bad",
+        [
+            ([[True, 2]], True),
+            ([[1.0, 2]], 1.0),
+            ([[1], [2, 3.0]], 3.0),
+            ([[1], [False]], False),
+            ([["1"]], "1"),
+        ],
+    )
+    def test_non_integer_agent_ids_rejected(self, coalitions, bad):
+        message = f"^agent ids must be integers, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            Partition(coalitions)
+
+    def test_overlap_names_the_first_repeat_in_canonical_order(self):
+        with pytest.raises(ValueError, match="^agent 3 appears in more than one coalition$"):
+            Partition([[4, 3], [1, 4], [2, 3]])
+        with pytest.raises(ValueError, match="^agent True appears in more than one coalition$"):
+            Partition([[1], [True]])
 
 
 class TestSizeBounds:

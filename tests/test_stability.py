@@ -402,18 +402,41 @@ class TestLazyScan:
         monkeypatch.setattr(stability, "Deviation", counting)
         return built
 
+    @staticmethod
+    def unvetoed(game, partition, moves):
+        """The moves whose mover no other member of its source values positively.
+
+        Under abandoned consent ``verify`` builds only these: the veto of a
+        mover's source coalition holds against every target alike.
+        """
+        return [
+            d
+            for d in moves
+            if not any(
+                game.value(b, d.agent) > 0
+                for b in partition.coalition_of(d.agent)
+                if b != d.agent
+            )
+        ]
+
     def test_builds_stop_at_the_witness(self, monkeypatch):
         rng = random.Random(400)
         g = random_game(rng, 400)
         b = SizeBounds(2, 5)
         p = random_feasible_partition(rng, 400, b)
-        full = {mode: len(candidate_deviations(g, p, b, mode)) for mode in (PERMISSIBLE, FEASIBLE)}
+        lists = {mode: candidate_deviations(g, p, b, mode) for mode in (PERMISSIBLE, FEASIBLE)}
         built = self.count_builds(monkeypatch)
         for concept in ALL_CONCEPTS:
             built[0] = 0
             report = verify(g, p, b, concept)
+            devs = lists[concept.mode]
             assert not report.stable
-            assert built[0] == report.checked_deviations < full[concept.mode]
+            assert report.checked_deviations < len(devs)
+            if concept.abandoned_consent:
+                upto = devs[: report.checked_deviations]
+                assert built[0] == len(self.unvetoed(g, p, upto))
+            else:
+                assert built[0] == report.checked_deviations
 
     def test_a_stable_partition_builds_the_whole_list(self, monkeypatch):
         from sizedhedonic import cis_star_nonzero
@@ -421,11 +444,12 @@ class TestLazyScan:
         g = random_game(random.Random(401), 400, nonzero=True)
         b = SizeBounds(2, 5)
         p = cis_star_nonzero(g, b, 100)
-        full = len(candidate_deviations(g, p, b, FEASIBLE))
+        devs = candidate_deviations(g, p, b, FEASIBLE)
         built = self.count_builds(monkeypatch)
         report = verify(g, p, b, Concept.CIS_STAR)
-        assert report.stable and full > 1000
-        assert built[0] == report.checked_deviations == full
+        assert report.stable and len(devs) > 1000
+        assert built[0] < report.checked_deviations == len(devs)
+        assert built[0] == len(self.unvetoed(g, p, devs))
 
     def test_verify_walks_candidate_deviations_in_order(self, rng):
         stable = unstable = 0
@@ -446,3 +470,85 @@ class TestLazyScan:
         p = Partition([[1, 2, 3], [4, 5]])
         with pytest.raises(ValueError, match="unknown deviation mode"):
             candidate_deviations(g, p, SizeBounds(1, 3), "nash")
+
+
+class TestVerifyAtScale:
+    """``verify`` against an eager reference on games of 60 to 240 agents.
+
+    The reference lists ``candidate_deviations`` in full and takes the first
+    move ``blocking_check`` accepts, with its 1-based position.  The corpus
+    mixes random partitions with the solvers' outputs, whose stable verdicts
+    make both routes scan to the end.
+    """
+
+    KINDS = ("signed", "nonzero", "nonneg", "zero-heavy")
+
+    @staticmethod
+    def reference(game, partition, bounds, concept):
+        devs = candidate_deviations(game, partition, bounds, concept.mode)
+        for position, move in enumerate(devs, 1):
+            if blocking_check(game, partition, move, concept):
+                return False, move, position
+        return True, None, len(devs)
+
+    @staticmethod
+    def game(rng, n, kind):
+        from sizedhedonic.model import Game
+
+        if kind == "zero-heavy":
+            choices = (-2, -1, 0, 0, 0, 0, 0, 1, 2)
+            agents = range(1, n + 1)
+            return Game(n, {(a, b): rng.choice(choices) for a in agents for b in agents if a != b})
+        return random_game(rng, n, nonzero=kind == "nonzero", nonneg=kind == "nonneg")
+
+    @classmethod
+    def corpus(cls, rng):
+        from sizedhedonic import (
+            cis_star_nonneg,
+            cis_star_nonzero,
+            cis_upper,
+            cns_pairs,
+            feasible_partition_exists,
+        )
+
+        cases = []
+        for i in range(8):
+            kind = cls.KINDS[i % 4]
+            n = rng.randint(60, 240)
+            g = cls.game(rng, n, kind)
+            upper = rng.randint(3, 6)
+            for b in (SizeBounds(1, upper), SizeBounds(2, upper), SizeBounds(upper - 1, upper)):
+                if feasible_partition_exists(n, b):
+                    cases.append(("random", g, b, random_feasible_partition(rng, n, b)))
+            cases.append(("cis_upper", g, SizeBounds(1, upper), cis_upper(g, upper)[0]))
+            cases.append(("cns_pairs", g, SizeBounds(1, 2), cns_pairs(g)))
+            solver = {"nonzero": cis_star_nonzero, "nonneg": cis_star_nonneg}.get(kind)
+            if solver is not None:
+                b = SizeBounds(2, upper)
+                p = solver(g, b, -(-n // upper))
+                assert p is not None
+                cases.append((solver.__name__, g, b, p))
+        return cases
+
+    def test_verify_matches_the_eager_reference(self):
+        rng = random.Random(0x5CA1E)
+        verdicts = set()
+        stranded = full_source = held_back = 0
+        for label, g, b, p in self.corpus(rng):
+            sizes = p.sizes()
+            stranded += b.lower >= 2 and b.lower in sizes
+            full_source += b.upper in sizes
+            held_back += any(
+                g.value(x, a) > 0 for a in g.agents for x in p.coalition_of(a) if x != a
+            )
+            for concept in ALL_CONCEPTS:
+                report = verify(g, p, b, concept)
+                expected = self.reference(g, p, b, concept)
+                assert (report.stable, report.witness, report.checked_deviations) == expected, (
+                    label, g.n, b, concept,
+                )
+                verdicts.add((label, concept.abandoned_consent, report.stable))
+        for label in ("random", "cis_upper", "cns_pairs", "cis_star_nonzero", "cis_star_nonneg"):
+            assert (label, True, True) in verdicts  # a contractual full scan
+        assert ("random", True, False) in verdicts and ("random", False, False) in verdicts
+        assert stranded and full_source and held_back
