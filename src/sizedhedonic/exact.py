@@ -28,22 +28,20 @@ partition and the first strict welfare maximum are always reached.  This is
 the lex-leader rule of symmetry breaking (Crawford, Ginsberg, Luks and Roy,
 KR 1996) for transpositions.  A game without twins gets no such hook.
 
-``exists_stable`` rejects a candidate that blocks itself through a new
-singleton or that induces a blocking deviation with an already-completed
-coalition; such a deviation survives in every completion of the branch, so
-the pruning is exact and the first leaf is the same partition a filtered
-full enumeration would report.  The value kept beside each coalition is its
-mover record: for each member allowed to leave (the feasible variants'
-size rule permits it and no member left behind vetoes), its utility, its
-valuation row and, under joined consent, the agents who value it
-negatively and so veto its arrival.  A pair test then costs one sum over
-the target per mover and one disjointness test.  With a lower bound of 1 and
-an upper bound of at least 3, the candidate loop also drops a prefix P, with
-all its extensions, when some member ``a`` that no unassigned agent can
-veto under abandoned consent has ``u_a(P) + maxpos_a * (U - |P|) < 0``
-(``maxpos_a`` its largest valuation, or 0): in every extension ``a`` gains by
-leaving for a new singleton, so the candidate-level rule would reject it
-anyway.  The final leaf is still checked with ``verify``.
+``exists_stable`` rejects a candidate from which a member blocks by
+leaving for a new singleton, or that blocks or is blocked by an
+already-completed coalition through one member's move; such a deviation
+survives in every completion of the branch, so the pruning is exact and the
+first leaf is the same partition a filtered full enumeration would report.
+The search states none of these rules itself: it asks ``stability`` for
+their coalition-level form and keeps each coalition's mover record beside
+it on its stack.  With a lower bound of 1 and an upper bound of at least 3,
+the candidate loop also drops a prefix P, with all its extensions, when
+some member ``a`` that no unassigned agent can veto under abandoned consent
+has ``u_a(P) + maxpos_a * (U - |P|) < 0`` (``maxpos_a`` its largest
+valuation, or 0): in every extension ``a`` gains by leaving for a new
+singleton, so the candidate-level rule would reject it anyway.  The final
+leaf is still checked with ``verify``.
 
 ``max_welfare_partition`` is a branch and bound.  It keeps the welfare of
 the completed coalitions and rejects a candidate when that welfare, plus
@@ -61,10 +59,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 from .model import Game, Partition, SizeBounds, feasible_partition_exists
-from .stability import Concept, verify
+from .stability import Concept, _coalition_rules, verify
 
 
 class BudgetExceededError(RuntimeError):
@@ -179,8 +176,7 @@ def _twin_below(rows: list[list[int]], n: int) -> list[int] | None:
     the game.  Twinship is an equivalence, since the transpositions of two
     twin pairs sharing an agent conjugate to a third, so each agent is tested
     against one member of each twin class among the agents whose row and
-    column hold the same multisets of values, and take the same values at
-    every agent outside that group.
+    column hold the same multisets of values.
     """
     columns = [list(column) for column in zip(*rows)]
 
@@ -196,31 +192,16 @@ def _twin_below(rows: list[list[int]], n: int) -> list[int] | None:
         key = (tuple(sorted(rows[a])), tuple(sorted(columns[a])))
         groups.setdefault(key, []).append(a)
     below = [0] * (n + 1)
-    for group in groups.values():
-        parts = [group]
-        if len(group) > 7:
-            # Twins in the group agree on every agent outside it.  Splitting
-            # on those values costs one key per member, about three pair
-            # tests, so it pays only once a group has over three times as
-            # many pairs as members.
-            outside = [1] * (n + 1)
-            for a in group:
-                outside[a] = 0
-            split: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
-            for a in group:
-                key = (tuple(compress(rows[a], outside)), tuple(compress(columns[a], outside)))
-                split.setdefault(key, []).append(a)
-            parts = list(split.values())
-        for members in parts:
-            latest: list[int] = []  # the largest member so far of each twin class
-            for b in members:
-                for i, a in enumerate(latest):
-                    if twins(a, b):
-                        below[b] = a
-                        latest[i] = b
-                        break
-                else:
-                    latest.append(b)
+    for members in groups.values():
+        latest: list[int] = []  # the largest member so far of each twin class
+        for b in members:
+            for i, a in enumerate(latest):
+                if twins(a, b):
+                    below[b] = a
+                    latest[i] = b
+                    break
+            else:
+                latest.append(b)
     return below if any(below) else None
 
 
@@ -385,53 +366,14 @@ def exists_stable(
     """
     budget = _checked_budget(game.n, budget)
     lower, upper = bounds.lower, bounds.upper
-    strand_guard = concept.feasible_variant
     rows = [game.row(a) for a in range(game.n + 1)]
-
-    def veto_holders(consent: bool, sign: int) -> list[frozenset[int]]:
-        # per agent, who may veto its moves: those whose valuation of it has
-        # ``sign``, or nobody when the concept gives no such consent
-        if not consent:
-            return [frozenset()] * (game.n + 1)
-        return [
-            frozenset(b for b in game.agents if sign * rows[b][a] > 0)
-            for a in range(game.n + 1)
-        ]
-
-    abandoned_vetoes = veto_holders(concept.abandoned_consent, 1)
-    joined_vetoes = veto_holders(concept.joined_consent, -1)
-
-    def movers(cand):
-        # (utility, valuation lookup, joined-consent vetoes) of each member
-        # allowed to leave ``cand``: the feasible variants forbid stranding it
-        # below the lower bound, and nobody left behind may veto.  The
-        # diagonal of the table is 0, so a sum over the whole coalition is the
-        # member's utility.
-        size = len(cand)
-        if strand_guard and size != 1 and size - 1 < lower:
-            return []
-        record = []
-        for a in cand:
-            if abandoned_vetoes[a].isdisjoint(cand):
-                value = rows[a].__getitem__
-                record.append((sum(map(value, cand)), value, joined_vetoes[a]))
-        return record
-
-    def blocks_into(record, target):
-        # whether a mover in ``record`` strictly gains by joining the existing
-        # coalition ``target`` and nobody there vetoes
-        if len(target) >= upper:
-            return False
-        for utility, value, vetoes in record:
-            if sum(map(value, target)) > utility and vetoes.isdisjoint(target):
-                return True
-        return False
+    movers, blocks_into, breaks_away, abandoned_vetoes, _ = _coalition_rules(game, bounds, concept)
 
     def admit(cand, avail, done):
-        # the value kept beside a coalition is its movers record
+        # the value kept beside a coalition is its mover record
         record = movers(cand)
-        if lower == 1 and len(cand) > 1 and any(u < 0 for u, _, _ in record):
-            return None  # a mover gains by leaving for a new singleton
+        if breaks_away(record, cand):
+            return None
         for other, other_record in done:
             if blocks_into(record, other) or blocks_into(other_record, cand):
                 return None

@@ -46,6 +46,9 @@ class Game:
 
     ``symmetric`` is a declared property: when set, v_a(b) == v_b(a) is
     validated at construction time.
+
+    Agent ids in the valuation keys must be integers.  ``True`` and
+    ``False`` are accepted as the integers 1 and 0 they equal as dict keys.
     """
 
     __slots__ = ("n", "symmetric", "_v")
@@ -64,21 +67,23 @@ class Game:
         self.symmetric = symmetric
         table = [[0] * (n + 1) for _ in range(n + 1)]
         if valuations:
-            for (a, b), w in valuations.items():
-                if not (1 <= a <= n and 1 <= b <= n):
-                    raise ValueError(f"valuation pair ({a}, {b}) out of range 1..{n}")
-                if a == b:
-                    raise ValueError(f"agent {a} may not value itself")
-                if not isinstance(w, int) or isinstance(w, bool):
-                    raise ValueError(f"valuation v_{a}({b}) must be an integer")
-                table[a][b] = w
-        if symmetric:
-            for a in range(1, n + 1):
-                for b in range(a + 1, n + 1):
-                    if table[a][b] != table[b][a]:
-                        raise ValueError(
-                            f"declared symmetric but v_{a}({b}) != v_{b}({a})"
-                        )
+            try:
+                for (a, b), w in valuations.items():
+                    if not (1 <= a <= n and 1 <= b <= n):
+                        raise ValueError(f"valuation pair ({a}, {b}) out of range 1..{n}")
+                    if a == b:
+                        raise ValueError(f"agent {a} may not value itself")
+                    if not isinstance(w, int) or isinstance(w, bool):
+                        raise ValueError(f"valuation v_{a}({b}) must be an integer")
+                    table[a][b] = w
+            except TypeError:
+                # an id that is no integer fails the range test or the index
+                for key in valuations:
+                    if isinstance(key, tuple):
+                        _check_ids(key)
+                raise
+        if symmetric and (pair := _asymmetric_pair(table)):
+            raise ValueError("declared symmetric but v_{0}({1}) != v_{1}({0})".format(*pair))
         self._v = table
 
     @classmethod
@@ -131,11 +136,7 @@ class Game:
         A game declared ``symmetric`` was validated when it was built, so it
         answers at once; any other game has its table scanned.
         """
-        return self.symmetric or all(
-            self._v[a][b] == self._v[b][a]
-            for a in range(1, self.n + 1)
-            for b in range(a + 1, self.n + 1)
-        )
+        return self.symmetric or _asymmetric_pair(self._v) is None
 
     def is_nonzero(self) -> bool:
         """True iff every valuation between distinct agents is nonzero."""
@@ -163,6 +164,27 @@ class Game:
         return f"Game(n={self.n}, {nnz} nonzero valuations{sym})"
 
 
+def _asymmetric_pair(table: list[list[int]]) -> tuple[int, int] | None:
+    """The first pair of agents a < b with v_a(b) != v_b(a), or None.
+
+    Rows are compared with their columns whole.  The first row that differs
+    differs only right of the diagonal: a difference at b < a would have
+    made row b differ first.
+    """
+    for a, column in enumerate(zip(*table)):
+        row = table[a]
+        if row != list(column):
+            return a, next(b for b in range(a + 1, len(row)) if row[b] != column[b])
+    return None
+
+
+def _check_ids(ids: Iterable[object]) -> None:
+    """Raise the package's error for the first of ``ids`` that is no integer."""
+    for a in ids:
+        if not isinstance(a, int) or isinstance(a, bool):
+            raise ValueError(f"agent ids must be integers, got {a!r}")
+
+
 class Partition:
     """A set of disjoint, nonempty coalitions covering agents 1..n.
 
@@ -177,13 +199,22 @@ class Partition:
     def __init__(self, coalitions: Iterable[Iterable[int]]) -> None:
         canon = []
         for c in coalitions:
-            members = tuple(sorted(c))
+            try:
+                members = tuple(sorted(c))
+                repeated = len(set(members)) != len(members)
+            except TypeError:  # ids that do not compare or hash
+                _check_ids(c)
+                raise
             if not members:
                 raise ValueError("coalitions must be nonempty")
-            if len(set(members)) != len(members):
+            if repeated:
                 raise ValueError(f"repeated agent inside coalition {members}")
             canon.append(members)
-        canon.sort()
+        try:
+            canon.sort()
+        except TypeError:  # ids that do not compare, across coalitions
+            _check_ids(a for c in canon for a in c)
+            raise
         n = sum(len(c) for c in canon)
         # one pass builds the index; the loops below run only to name what is wrong
         index = {a: i for i, c in enumerate(canon) for a in c}
@@ -195,9 +226,7 @@ class Partition:
                         raise ValueError(f"agent {a} appears in more than one coalition")
                     seen.add(a)
         if not set(map(type, index)) <= {int}:
-            for a in index:
-                if not isinstance(a, int) or isinstance(a, bool):
-                    raise ValueError(f"agent ids must be integers, got {a!r}")
+            _check_ids(index)
         if set(index) != set(range(1, n + 1)):
             raise ValueError("coalitions must cover exactly the agents 1..n")
         self.coalitions = tuple(canon)

@@ -209,8 +209,6 @@ def x3c_to_ns_bounded(instance: X3CInstance, bounds: SizeBounds) -> ReducedGame:
     lo, hi = bounds.lower, bounds.upper
     if hi < 4 or lo >= hi:
         raise ValueError("construction needs upper >= 4 and lower < upper")
-    if instance.ground_size % 3:
-        raise ValueError("ground set size must be a multiple of 3")
     spare_sets = len(instance.sets) - instance.ground_size // 3
     if spare_sets < 0:
         raise ValueError("fewer sets than an exact cover would need")

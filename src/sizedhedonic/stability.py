@@ -18,6 +18,17 @@ zero never vetoes.
 
 The abandoned-coalition veto depends only on the mover, never on the target,
 so ``verify`` decides it once per agent and skips a held-back mover whole.
+
+The rules come in two forms, both stated here.  The move-level form
+(``_scan``, ``_abandoned_veto``, ``_joined_veto`` and ``blocking_check``)
+judges one deviation from a partition; ``verify`` and the dynamics use it.
+The coalition-level form (``_coalition_rules``) judges whole coalitions
+before any partition holds them, for the search of
+``exact.exists_stable``: can a member of one coalition block by joining
+another, or by leaving for a new singleton.  The two share the strand rule
+(``_strands``), and their veto indexes make the same sign tests as the
+two veto predicates; a test compares the forms on every pair of
+coalitions.
 """
 
 from __future__ import annotations
@@ -155,11 +166,19 @@ def _scan(
         source_idx = partition.index_of(agent)
         source = partition.coalitions[source_idx]
         size = len(source)
-        if feasible and size != 1 and size - 1 < lower:
-            continue  # leaving would strand the abandoned coalition
+        if feasible and _strands(size, lower):
+            continue
         singleton = lower == 1 and size > 1
         count = n_open - (size < upper) + singleton  # own coalition is no target
         yield agent, source, count, _moves(agent, source_idx, open_targets, singleton)
+
+
+def _strands(size: int, lower: int) -> bool:
+    """Whether a member leaving a coalition of ``size`` strands it below ``lower``.
+
+    The feasible mode forbids such a move.  A singleton vanishes instead.
+    """
+    return size != 1 and size - 1 < lower
 
 
 def _moves(
@@ -180,6 +199,15 @@ def _abandoned_veto(game: Game, agent: int, source: tuple[int, ...]) -> bool:
     ``agent``, whatever the target, and so vetoes them all.
     """
     return any(game.row(b)[agent] > 0 for b in source)  # row(agent)[agent] is 0
+
+
+def _joined_veto(game: Game, agent: int, target: tuple[int, ...]) -> bool:
+    """Whether a member of ``target``, the coalition ``agent`` joins, values it negatively.
+
+    Under joined consent such a member would strictly lose by the move, and
+    so vetoes it.
+    """
+    return any(game.row(b)[agent] < 0 for b in target)
 
 
 def blocking_check(
@@ -203,12 +231,66 @@ def blocking_check(
         gain = sum(row[b] for b in target_members) - current
     if gain <= 0:
         return False
-    if concept.joined_consent:
-        if any(game.row(b)[agent] < 0 for b in target_members):
-            return False
+    if concept.joined_consent and _joined_veto(game, agent, target_members):
+        return False
     if concept.abandoned_consent and _abandoned_veto(game, agent, source):
         return False
     return True
+
+
+def _coalition_rules(game: Game, bounds: SizeBounds, concept: Concept) -> tuple:
+    """The coalition-level form of the rules of ``concept`` (module docstring).
+
+    Returns ``(movers, blocks_into, breaks_away, abandoned_vetoes,
+    joined_vetoes)``.  ``movers(coalition)`` is the coalition's mover
+    record: one entry per member allowed to leave it (the feasible mode's
+    strand rule permits it and nobody left behind holds an abandoned veto),
+    holding the member's utility, its valuation lookup and the agents
+    holding a joined veto over it.  ``blocks_into(record, target)`` tells
+    whether a mover in ``record`` blocks by joining the coalition
+    ``target``, and ``breaks_away(record, coalition)`` whether one blocks by
+    leaving ``coalition``, whose record it is, for a new singleton.
+    ``abandoned_vetoes[a]`` and ``joined_vetoes[a]`` are the agents holding
+    each veto over the moves of agent ``a``, empty under a concept that
+    gives no such consent.
+    """
+    lower, upper = bounds.lower, bounds.upper
+    rows = [game.row(a) for a in range(game.n + 1)]
+    # the sign tests of _abandoned_veto and _joined_veto, one agent b at a time
+    abandoned = joined = [frozenset()] * (game.n + 1)
+    if concept.abandoned_consent:
+        abandoned = [frozenset(b for b in game.agents if rows[b][a] > 0) for a in range(game.n + 1)]
+    if concept.joined_consent:
+        joined = [frozenset(b for b in game.agents if rows[b][a] < 0) for a in range(game.n + 1)]
+    feasible = concept.feasible_variant
+    may_leave = [not (feasible and _strands(size, lower)) for size in range(upper + 1)]
+
+    def movers(coalition):
+        # the diagonal of the table is 0, so a sum over the whole coalition
+        # is the member's utility
+        if not may_leave[len(coalition)]:
+            return []
+        record = []
+        for a in coalition:
+            if abandoned[a].isdisjoint(coalition):
+                value = rows[a].__getitem__
+                record.append((sum(map(value, coalition)), value, joined[a]))
+        return record
+
+    def blocks_into(record, target):
+        if len(target) >= upper:
+            return False
+        for utility, value, vetoes in record:
+            if sum(map(value, target)) > utility and vetoes.isdisjoint(target):
+                return True
+        return False
+
+    def breaks_away(record, coalition):
+        # a new singleton needs a lower bound of 1, and has a gain of minus
+        # the mover's utility
+        return lower == 1 and len(coalition) > 1 and any(u < 0 for u, _, _ in record)
+
+    return movers, blocks_into, breaks_away, abandoned, joined
 
 
 def verify(

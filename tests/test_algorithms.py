@@ -332,6 +332,26 @@ class TestSymmetricDynamics:
             assert steps <= max(0, best - social_welfare(g, init))
 
 
+class TestDynamicsThatMove:
+    """A run that takes steps, from singletons to two pairs."""
+
+    GAME = Game(6, {(1, 2): 3, (2, 1): 3, (3, 4): 2, (4, 3): 2}, symmetric=True)
+
+    def test_two_pairs_form_from_singletons(self):
+        b, init = SizeBounds(1, 3), singleton_partition(6)
+        result = symmetric_dynamics(self.GAME, b, init)
+        assert result == (Partition([[1, 2], [3, 4], [5], [6]]), 2)
+        steps = list(dynamics_steps(self.GAME, b, init))
+        assert [(d.agent, d.target, gain) for d, gain, _ in steps] == [(1, 1, 3), (3, 2, 2)]
+        assert (steps[-1][2], len(steps)) == result
+
+
+def test_aziz_reference_absorbs_a_latecomer():
+    # agent 2 joins 1, whom it likes, and agent 3 follows: 2 likes it and
+    # nobody in the coalition minds
+    assert aziz_reference(Game(3, {(2, 1): 5, (2, 3): 1})) == Partition([[1, 2, 3]])
+
+
 class TestDynamicsCycle:
     def test_directed_triangle_cycle_is_reported(self):
         g, b = cycle_no_is_star(3), SizeBounds(1, 2)

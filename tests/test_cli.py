@@ -250,6 +250,39 @@ class TestOtherCommands:
         assert invoke(capsys, "verify", "--concept", "ns", "--bounds", "1:2", "/no/such", "y")[0] == 3
 
 
+class TestExitsPinned:
+    """Exits of the CLI that no other test reaches, with their messages."""
+
+    def test_dynamics_prints_its_step_count(self, capsys, tmp_path):
+        game = tmp_path / "g"
+        game.write_text("ashg 6 symmetric\nv 1 2 3\nv 3 4 2\n")
+        init = tmp_path / "init"
+        init.write_text("1\n2\n3\n4\n5\n6\n")
+        code, out, err = invoke(capsys, "dynamics", "--bounds", "1:3", "--init", str(init), str(game))
+        assert (code, out, err) == (0, "1 2\n3 4\n5\n6\n", "steps: 2\n")
+
+    @pytest.mark.parametrize("command", ["maxwelfare", "dynamics"])
+    def test_bounds_no_partition_fits_exit_two(self, capsys, files, command):
+        code, out, err = invoke(capsys, command, "--bounds", "4:5", files["intro_pos"])
+        assert (code, out, err) == (2, "", "no partition of 6 agents within 4:5\n")
+
+    def test_param_without_a_value_exits_three(self, capsys):
+        code, out, err = invoke(capsys, "gen", "--family", "star_no_cis", "--param", "k")
+        assert (code, out, err) == (3, "", "error: --param expects key=value, got 'k'\n")
+
+    def test_theorem_6_from_x3c_exits_three(self, capsys, tmp_path):
+        inst = tmp_path / "i.x3c"
+        inst.write_text("x3c 3\nset 1 2 3\n")
+        code, out, err = invoke(capsys, "reduce", "--from", "x3c", "--theorem", "6", str(inst))
+        assert (code, out, err) == (3, "", "error: theorem 6 reduces from mmm instances\n")
+
+    def test_inverted_bounds_exit_three(self, capsys, files):
+        code, out, err = invoke(
+            capsys, "verify", "--concept", "ns", "--bounds", "3:2", files["intro_pos"], files["pairs"]
+        )
+        assert (code, out, err) == (3, "", "error: invalid size bounds (3, 2)\n")
+
+
 def test_module_entry_point(tmp_path: Path):
     game = tmp_path / "g.ashg"
     game.write_text(serialize_game(aziz_failure()))

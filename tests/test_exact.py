@@ -92,6 +92,11 @@ def test_negative_partition_cap_is_rejected(cap):
         EnumerationBudget(max_partitions=cap)
 
 
+def test_agent_cap_must_be_positive():
+    with pytest.raises(ValueError, match="^max_agents must be positive$"):
+        EnumerationBudget(max_agents=0)
+
+
 def test_zero_partition_cap_admits_no_step():
     none = EnumerationBudget(max_partitions=0)
     with pytest.raises(BudgetExceededError):

@@ -75,6 +75,8 @@ def test_parameter_validation():
     ]:
         with pytest.raises(ValueError):
             make_instance(family, **bad)
+    with pytest.raises(ValueError, match="^need at least one pair$"):
+        intro_negative(0)
     with pytest.raises(ValueError):
         make_instance("nonsense")
     with pytest.raises(ValueError):

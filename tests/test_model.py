@@ -43,6 +43,32 @@ class TestGame:
         with pytest.raises(ValueError, match=message):
             Game(n)
 
+    def test_negative_agent_count_rejected(self):
+        with pytest.raises(ValueError, match="^agent count must be nonnegative$"):
+            Game(-1)
+
+    @pytest.mark.parametrize("w", [1.5, True, "2"])
+    def test_non_integer_valuation_rejected(self, w):
+        with pytest.raises(ValueError, match=r"^valuation v_1\(2\) must be an integer$"):
+            Game(2, {(1, 2): w})
+
+    @pytest.mark.parametrize(
+        "key, bad", [((1.0, 2), 1.0), (("a", 2), "a"), ((2, "a"), "a"), ((1, 2.0), 2.0)]
+    )
+    def test_non_integer_agent_ids_rejected(self, key, bad):
+        message = f"^agent ids must be integers, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            Game(3, {(1, 3): 1, key: 5})
+
+    def test_bool_ids_are_the_integers_they_equal(self):
+        assert Game(3, {(True, 2): 5}) == Game(3, {(1, 2): 5})
+
+    def test_symmetric_flag_names_the_first_asymmetric_pair(self):
+        with pytest.raises(ValueError, match=r"^declared symmetric but v_2\(3\) != v_3\(2\)$"):
+            Game(4, {(2, 3): 1, (3, 2): 2, (3, 4): 1}, symmetric=True)
+        assert not Game(4, {(2, 3): 1, (3, 2): 2, (3, 4): 1}).has_symmetric_table()
+        assert Game(3, {(1, 3): 2, (3, 1): 2}).has_symmetric_table()
+
     def test_symmetric_flag_validated(self):
         with pytest.raises(ValueError):
             Game(2, {(1, 2): 1, (2, 1): 2}, symmetric=True)
@@ -122,6 +148,15 @@ class TestPartition:
         with pytest.raises(ValueError, match=message):
             Partition(coalitions)
 
+    @pytest.mark.parametrize(
+        "coalitions, bad",
+        [([[1], ["a"]], "a"), ([[1, "a"]], "a"), ([[2], [1, None]], None), ([[1], [[2]]], [2])],
+    )
+    def test_ids_that_do_not_compare_or_hash_rejected(self, coalitions, bad):
+        message = f"^agent ids must be integers, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            Partition(coalitions)
+
     def test_overlap_names_the_first_repeat_in_canonical_order(self):
         with pytest.raises(ValueError, match="^agent 3 appears in more than one coalition$"):
             Partition([[4, 3], [1, 4], [2, 3]])
@@ -137,6 +172,11 @@ class TestSizeBounds:
 
     def test_integers_accepted(self):
         assert str(SizeBounds(1, 2)) == "1:2"
+
+    @pytest.mark.parametrize("lower, upper", [(3, 2), (0, 2)])
+    def test_order_checked(self, lower, upper):
+        with pytest.raises(ValueError, match=rf"^invalid size bounds \({lower}, {upper}\)$"):
+            SizeBounds(lower, upper)
 
 
 class TestFeasibilityArithmetic:

@@ -58,6 +58,8 @@ class TestInstanceTypes:
             MMMInstance(2, 1, ((1, 2),))  # does not cross the bipartition
         with pytest.raises(ValueError):
             MMMInstance(2, 1, ((1, 3), (1, 3)))
+        with pytest.raises(ValueError, match="^each side needs at least one vertex$"):
+            MMMInstance(0, 1, ())
 
 
 class TestX3CToCns:

@@ -16,6 +16,7 @@ from sizedhedonic import (
     intro_negative,
     intro_positive,
     aziz_failure,
+    feasible_partition_exists,
     social_welfare,
     utility,
     verify,
@@ -552,3 +553,68 @@ class TestVerifyAtScale:
             assert (label, True, True) in verdicts  # a contractual full scan
         assert ("random", True, False) in verdicts and ("random", False, False) in verdicts
         assert stranded and full_source and held_back
+
+
+class TestCoalitionRules:
+    """The coalition-level form of the rules, which the exact search uses,
+    agrees with the move-level form on every ordered pair of coalitions."""
+
+    @staticmethod
+    def corpus(rng):
+        cases = []
+        while len(cases) < 160:
+            if len(cases) % 2:
+                n = rng.randint(2, 8)
+                b = SizeBounds(1, rng.randint(2, n))
+            else:
+                # a lower bound of 2 or 3, with room for several coalitions
+                lower = rng.randint(2, 3)
+                n = rng.randint(2 * lower, 8)
+                b = SizeBounds(lower, rng.randint(lower, lower + 2))
+                if not feasible_partition_exists(n, b):
+                    continue
+            g = random_game(rng, n, *rng.choice([(-3, 3), (-1, 1), (0, 2), (-2, 1)]))
+            cases.append((g, b, random_feasible_partition(rng, n, b)))
+        return cases
+
+    def test_pair_and_break_away_tests_match_blocking_check(self):
+        from sizedhedonic.stability import _coalition_rules
+
+        rng = random.Random(0x2013)
+        seen = set()
+        for g, b, p in self.corpus(rng):
+            for concept in ALL_CONCEPTS:
+                movers, blocks_into, breaks_away, _, _ = _coalition_rules(g, b, concept)
+                admissible = set(candidate_deviations(g, p, b, concept.mode))
+
+                def blocks(d):
+                    return d in admissible and blocking_check(g, p, d, concept)
+
+                for s, source in enumerate(p.coalitions):
+                    record = movers(source)
+                    expected = any(blocks(Deviation(a, None)) for a in source)
+                    assert breaks_away(record, source) == expected, (g, b, p, concept, source)
+                    seen.add(("singleton", expected))
+                    for t, target in enumerate(p.coalitions):
+                        if t == s:
+                            continue
+                        expected = any(blocks(Deviation(a, t)) for a in source)
+                        assert blocks_into(record, target) == expected, (g, b, p, concept, s, t)
+                        seen.add((str(concept), b.lower == 1, expected))
+        assert {("singleton", True), ("singleton", False)} <= seen
+        assert {(str(c), low, x) for c in ALL_CONCEPTS for low in (True, False) for x in (True, False)} <= seen
+
+    def test_veto_indexes_match_the_veto_predicates(self, rng):
+        from sizedhedonic.stability import _abandoned_veto, _coalition_rules, _joined_veto
+
+        for g, b, _ in self.corpus(rng)[:40]:
+            for concept in ALL_CONCEPTS:
+                *_, abandoned, joined = _coalition_rules(g, b, concept)
+                for a in g.agents:
+                    assert abandoned[a] == {
+                        x for x in g.agents
+                        if concept.abandoned_consent and _abandoned_veto(g, a, (x,))
+                    }
+                    assert joined[a] == {
+                        x for x in g.agents if concept.joined_consent and _joined_veto(g, a, (x,))
+                    }

@@ -126,6 +126,35 @@ class TestInstanceFormats:
         with pytest.raises(ParseError):
             parse_mmm("mmm 2 1\nedge 1 2\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: empty input, expected an 'x3c' header"),
+            ("x3c\n", "line 1: expected header 'x3c <ground size>'"),
+            ("mmm 3\n", "line 1: expected header 'x3c <ground size>'"),
+            ("x3c 3\nedge 1 2\n", "line 2: expected 'set <a> <b> <c>'"),
+        ],
+    )
+    def test_x3c_errors_name_the_line(self, text, message):
+        with pytest.raises(ParseError) as raised:
+            parse_x3c(text)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: empty input, expected an 'mmm' header"),
+            ("mmm 2\n", "line 1: expected header 'mmm <n> <k>'"),
+            ("x3c 2 1\n", "line 1: expected header 'mmm <n> <k>'"),
+            ("mmm 2 1\nedge 1\n", "line 2: expected 'edge <i> <j>'"),
+            ("mmm 2 1\nset 1 3\n", "line 2: expected 'edge <i> <j>'"),
+        ],
+    )
+    def test_mmm_errors_name_the_line(self, text, message):
+        with pytest.raises(ParseError) as raised:
+            parse_mmm(text)
+        assert str(raised.value) == message
+
     def test_certificates(self):
         assert parse_cover(serialize_cover([1, 3])) == [1, 3]
         assert parse_cover("cover 1\ncover 2 3\n") == [1, 2, 3]
