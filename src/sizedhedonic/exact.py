@@ -8,11 +8,15 @@ twice.  The candidates come from one loop over a stack of indices.  Branches
 whose residual agent count cannot be partitioned within the bounds are
 pruned arithmetically.  A remainder of fewer than 2L agents can only be
 closed by one coalition, all of it, so its frame tries that coalition alone
-and counts the candidates the loop would have built around it by formula.
-Each caller passes a prune hook that rejects a candidate or returns a value,
-which the search keeps beside the coalition on its stack.  The leaves a
-caller keeps become ``Partition`` objects through a trusted constructor,
-since the search builds them in canonical form.
+and counts the candidates the loop would have built around it by formula:
+the r - L + 1 chain prefixes up to and including the whole remainder of r
+agents before it, and the unfit rest after it.  Each caller passes a prune
+hook that rejects a candidate or returns a value, which the search keeps
+beside the coalition on its stack.  The leaves a caller keeps become
+``Partition`` objects through a trusted constructor, since the search
+builds them in canonical form.  The search alone counts steps, candidates
+tried or complete partitions reached, and raises ``BudgetExceededError``
+past its cap; ``EnumerationBudget`` says which step each oracle counts.
 
 ``enumerate_partitions`` prunes nothing else and yields every leaf.
 
@@ -20,28 +24,35 @@ The two oracles also try interchangeable agents in one order only.  Agents
 a < b are twins when swapping them leaves the valuation table unchanged:
 v_a(b) = v_b(a), and v_a(x) = v_b(x) and v_x(a) = v_x(b) for every other x.
 The swap then maps a partition to one that is stable exactly when it is and
-has the same welfare.  The candidate loop drops a prefix whose newest member
-b has a smaller twin that is still unassigned and not in the prefix.  The
+has the same welfare.  The twin rule, which the search applies itself,
+drops a prefix whose newest member b has a smaller twin that is still
+unassigned and not in the prefix, with all its extensions.  The
 swapped partition of each one dropped comes earlier in canonical order, as
 the coalition being built holds a in place of b, so the first stable
 partition and the first strict welfare maximum are always reached.  This is
 the lex-leader rule of symmetry breaking (Crawford, Ginsberg, Luks and Roy,
-KR 1996) for transpositions.  A game without twins gets no such hook.
+KR 1996) for transpositions.  Each frame holds back the unassigned agents
+whose largest smaller twin is unassigned too, and tests only that twin.
+That is the same rule on the search's paths: had a smaller one been left
+behind when that twin was placed, the twin's own prefix would have been
+dropped.  The extensions of a dropped prefix break the rule too: their
+later members are larger than b, so none of them is b's smaller twin.  A
+game without twins runs the plain search, step for step.
 
 ``exists_stable`` rejects a candidate from which a member blocks by
 leaving for a new singleton, or that blocks or is blocked by an
 already-completed coalition through one member's move; such a deviation
 survives in every completion of the branch, so the pruning is exact and the
 first leaf is the same partition a filtered full enumeration would report.
-The search states none of these rules itself: it asks ``stability`` for
+The oracle states none of these rules itself: it asks ``stability`` for
 their coalition-level form and keeps each coalition's mover record beside
-it on its stack.  With a lower bound of 1 and an upper bound of at least 3,
-the candidate loop also drops a prefix P, with all its extensions, when
-some member ``a`` that no unassigned agent can veto under abandoned consent
-has ``u_a(P) + maxpos_a * (U - |P|) < 0`` (``maxpos_a`` its largest
-valuation, or 0): in every extension ``a`` gains by leaving for a new
-singleton, so the candidate-level rule would reject it anyway.  The final
-leaf is still checked with ``verify``.
+it on the search stack.  With a lower bound of 1 and an upper bound of at
+least 3, its prefix hook, the sign rule, also drops a prefix P, with all
+its extensions, when some member ``a`` that no unassigned agent can veto
+under abandoned consent has ``u_a(P) + maxpos_a * (U - |P|) < 0``
+(``maxpos_a`` its largest valuation, or 0): in every extension ``a`` gains
+by leaving for a new singleton, so the candidate-level rule would reject it
+anyway.  The final leaf is still checked with ``verify``.
 
 ``max_welfare_partition`` is a branch and bound.  It keeps the welfare of
 the completed coalitions and rejects a candidate when that welfare, plus
@@ -74,22 +85,16 @@ class EnumerationBudget:
 
     ``max_partitions`` caps the steps each oracle takes:
 
-    - ``enumerate_partitions``: partitions yielded;
+    - ``enumerate_partitions`` and ``max_welfare_partition``: complete
+      partitions the search reaches, the one empty partition of zero agents
+      included.  The enumeration yields each one it reaches; branch and
+      bound reaches no more than that;
     - ``exists_stable``: candidate coalitions tried, each counted before its
-      size-feasibility test.  With a lower bound of 2 or more every
-      candidate the lexicographic loop would build is counted, including
-      those of a remainder closed by one coalition, which are counted by
-      formula rather than built.  With a lower bound of 1 and an upper bound
-      of at least 3, candidates under a prefix dropped for a member that
-      would leave for a new singleton are never built and not counted;
-    - ``max_welfare_partition``: complete partitions the search reaches;
-      branch and bound reaches no more than a full enumeration yields.
-
-    In both oracles, candidates under a prefix dropped because it takes an
-    agent before a smaller twin (see the module docstring) are not built
-    and not counted, so a game with twins takes fewer steps than the plain
-    search would.  A remainder closed by one coalition is still counted by
-    formula in full.
+      size-feasibility test, so zero agents take no step.  A remainder
+      closed by one coalition counts by formula every candidate the loop
+      would have built for it.  Candidates under a prefix that the sign
+      rule or the twin rule drops (see the module docstring) are never
+      built and not counted.
 
     Every oracle raises ``BudgetExceededError`` at the cap, since a
     truncated search is no verdict.  To take only a prefix of the
@@ -143,14 +148,10 @@ def _coalition_candidates(leader: int, rest: list[int], bounds: SizeBounds, viab
         if len(combo) == hi - 1:
             # the last member: each agent left completes a candidate
             prefix = tuple(combo)
-            if viable is None:
-                for b in rest[i:]:
-                    yield prefix + (b,)
-            else:
-                for b in rest[i:]:
-                    cand = prefix + (b,)
-                    if viable(cand):
-                        yield cand
+            for b in rest[i:]:
+                cand = prefix + (b,)
+                if viable is None or viable(cand):
+                    yield cand
         elif i < m and len(combo) + m - i >= lo:
             combo.append(rest[i])
             if viable is not None and not viable(combo):
@@ -205,73 +206,33 @@ def _twin_below(rows: list[list[int]], n: int) -> list[int] | None:
     return below if any(below) else None
 
 
-def _twin_viable_in(rows: list[list[int]], n: int):
-    """The ``viable_in`` hook of the twin rule (module docstring), or None
-    when the game has no twins, so that such a game runs the plain search.
-
-    A dropped prefix loses all its extensions too: later members are larger
-    than its newest member b, so none of them is b's smaller twin.  Testing
-    b's largest smaller twin alone is the same rule on the search's paths:
-    had a smaller one been left behind when that twin was placed, the twin's
-    own prefix would have been dropped.
-    """
-    below = _twin_below(rows, n)
-    if below is None:
-        return None
-
-    def viable_in(avail):
-        # each unassigned agent whose largest smaller twin is unassigned too;
-        # a frame without one needs no hook
-        unassigned = set(avail)
-        held = {b: below[b] for b in avail if below[b] in unassigned}
-        if not held:
-            return None
-
-        def viable(prefix):
-            twin = held.get(prefix[-1])
-            return twin is None or twin in prefix
-
-        return viable
-
-    return viable_in
-
-
-def _both(first, second):
-    """The ``viable_in`` hook that keeps a prefix only if both hooks keep it."""
-    if first is None or second is None:
-        return first or second
-
-    def viable_in(avail):
-        one, two = first(avail), second(avail)
-        if one is None or two is None:
-            return one or two
-        return lambda prefix: one(prefix) and two(prefix)
-
-    return viable_in
-
-
 def _search(
-    n: int, bounds: SizeBounds, admit=None, max_tried: float = math.inf, viable_in=None
+    n: int,
+    bounds: SizeBounds,
+    admit=None,
+    twin_below: list[int] | None = None,
+    viable_in=None,
+    max_tried: float = math.inf,
+    max_leaves: float = math.inf,
 ):
     """Leader-first DFS over the bound-respecting partitions of agents 1..n.
 
-    ``admit(cand, avail, chosen)`` sees a size-feasible candidate coalition,
-    the agents still unassigned (``cand`` included) and the stack of
-    ``(coalition, value)`` pairs chosen so far.  It returns None to prune the
-    candidate, or the value to keep beside it on the stack; without a hook
-    every candidate is kept with the value None.  ``viable_in(avail)``, when
-    given, returns the ``viable`` prefix hook of the frame whose agents are
-    ``avail``, or None when that frame needs none.  Yields the stack, which is reused, at every complete
-    partition.  Raises ``BudgetExceededError`` once more than ``max_tried``
-    candidates have been tried.
-
-    A remainder of r < 2L agents can only be closed by one coalition, all of
-    it.  Its frame tries just that coalition, but counts every candidate the
-    generator would have produced: its r - L + 1 chain prefixes up to and
-    including the whole remainder before it, and the unfit rest after it.
+    Yields the stack of ``(coalition, value)`` pairs chosen so far, which is
+    reused, at every complete partition.  ``admit(cand, avail, chosen)``
+    sees a size-feasible candidate coalition, the agents still unassigned
+    (``cand`` included) and that stack.  It returns None to prune the
+    candidate, or the value to keep beside it; without a hook every
+    candidate is kept with the value None.  ``twin_below`` is the list
+    ``_twin_below`` returns; None runs no twin rule.  ``viable_in(avail)``,
+    when given, returns the caller's prefix test for the frame whose agents
+    are ``avail``, or None when that frame needs none.  Raises
+    ``BudgetExceededError`` once more than ``max_tried`` candidates have
+    been tried, or more than ``max_leaves`` complete partitions reached.
     """
     chosen: list[tuple[tuple[int, ...], object]] = []
     if n == 0:
+        if max_leaves < 1:
+            raise _exceeded(max_leaves)
         yield chosen
         return
     lower = bounds.lower
@@ -283,11 +244,24 @@ def _search(
         for r in range(1, min(n, 2 * lower - 1) + 1)
         if fits[r]
     }
-    tried = 0
+    tried = leaves = 0
     value = None
 
     def frame(avail):
         viable = None if viable_in is None else viable_in(avail)
+        if twin_below is not None:
+            # each unassigned agent whose largest smaller twin is unassigned too
+            unassigned = set(avail)
+            held = {b: twin_below[b] for b in avail if twin_below[b] in unassigned}
+            if held:
+                caller = viable
+
+                def viable(prefix):
+                    # the leader stands in for the twin of a member not held back
+                    return held.get(prefix[-1], prefix[0]) in prefix and (
+                        caller is None or caller(prefix)
+                    )
+
         return avail, _coalition_candidates(avail[0], avail[1:], bounds, viable), 0
 
     frames = [frame(list(range(1, n + 1)))]
@@ -300,6 +274,10 @@ def _search(
             remaining = len(avail) - len(cand)
             if not fits[remaining]:
                 continue
+            if not remaining:
+                leaves += 1
+                if leaves > max_leaves:
+                    raise _exceeded(max_leaves)
             if admit is not None:
                 value = admit(cand, avail, chosen)
                 if value is None:
@@ -335,18 +313,12 @@ def _coalitions(chosen: list[tuple[tuple[int, ...], object]]) -> list[tuple[int,
 def enumerate_partitions(
     n: int, bounds: SizeBounds, budget: EnumerationBudget | None = None
 ):
-    """Yield every bound-respecting partition of agents 1..n exactly once."""
+    """Yield every bound-respecting partition of agents 1..n once, in canonical order."""
     budget = _checked_budget(n, budget)
-
-    def stream():
-        yielded = 0
-        for chosen in _search(n, bounds):
-            if yielded == budget.max_partitions:
-                raise _exceeded(budget.max_partitions)
-            yielded += 1
-            yield Partition._from_canonical(_coalitions(chosen))
-
-    return stream()
+    return (
+        Partition._from_canonical(_coalitions(chosen))
+        for chosen in _search(n, bounds, max_leaves=budget.max_partitions)
+    )
 
 
 def exists_stable(
@@ -357,12 +329,8 @@ def exists_stable(
 ) -> Partition | None:
     """First stable partition in canonical enumeration order, or None.
 
-    Equivalent to filtering ``enumerate_partitions`` through ``verify`` but
-    prunes branches as soon as two completed coalitions block each other,
-    which keeps structured instances with dozens of agents tractable.  Of
-    the partitions that differ only by swapping twins, agents the game
-    cannot tell apart, it builds only the first in canonical order; the
-    others are stable exactly when it is, so the answer is the same.
+    The same answer as filtering ``enumerate_partitions`` through
+    ``verify``, from a search that prunes exactly (module docstring).
     """
     budget = _checked_budget(game.n, budget)
     lower, upper = bounds.lower, bounds.upper
@@ -400,8 +368,8 @@ def exists_stable(
 
             return viable
 
-    viable_in = _both(_twin_viable_in(rows, game.n), viable_in)
-    leaf = next(_search(game.n, bounds, admit, budget.max_partitions, viable_in), None)
+    twins = _twin_below(rows, game.n)
+    leaf = next(_search(game.n, bounds, admit, twins, viable_in, budget.max_partitions), None)
     if leaf is None:
         return None
     partition = Partition._from_canonical(_coalitions(leaf))
@@ -416,13 +384,11 @@ def max_welfare_partition(
 ) -> Partition | None:
     """A bound-respecting partition of maximum social welfare, or None.
 
-    Ties are resolved toward the first partition in canonical order.  Of
-    the partitions that differ only by swapping twins it reaches only the
-    first, which has the same welfare as the others, so the tie-break is
-    unchanged.  For
-    symmetric games the result is stable for feasible Nash deviations; for
-    arbitrary games it is stable for feasible contractual-individual
-    deviations, because any such deviation strictly raises welfare.
+    Ties are resolved toward the first partition in canonical order, as a
+    full enumeration would find it (module docstring).  For symmetric games
+    the result is stable for feasible Nash deviations; for arbitrary games
+    it is stable for feasible contractual-individual deviations, because any
+    such deviation strictly raises welfare.
     """
     budget = _checked_budget(game.n, budget)
     partners = bounds.upper - 1
@@ -434,7 +400,6 @@ def max_welfare_partition(
         liked[a] = sorted(((row[b], b) for b in game.agents if row[b] > 0), reverse=True)
     optimistic: dict[tuple[int, ...], int] = {}  # remaining agents -> bound
     best_welfare = -math.inf
-    reached = 0
 
     def bound(rest: tuple[int, ...]) -> int:
         members = set(rest)
@@ -451,15 +416,11 @@ def max_welfare_partition(
 
     def admit(cand, avail, done):
         # the value kept beside a coalition is the welfare of the stack up to it
-        nonlocal reached
         welfare = done[-1][1] if done else 0
         for a in cand:
             # the diagonal of the table is 0: a sum over the whole coalition
             welfare += sum(map(rows[a].__getitem__, cand))
         if len(cand) == len(avail):
-            reached += 1
-            if reached > budget.max_partitions:
-                raise _exceeded(budget.max_partitions)
             return welfare if welfare > best_welfare else None
         rest = tuple(a for a in avail if a not in cand)
         cap = optimistic.get(rest)
@@ -468,7 +429,8 @@ def max_welfare_partition(
         return welfare if welfare + cap > best_welfare else None
 
     best = None
-    for chosen in _search(game.n, bounds, admit, viable_in=_twin_viable_in(rows, game.n)):
+    twins = _twin_below(rows, game.n)
+    for chosen in _search(game.n, bounds, admit, twins, max_leaves=budget.max_partitions):
         best = _coalitions(chosen)
         best_welfare = chosen[-1][1] if chosen else 0
     return None if best is None else Partition._from_canonical(best)

@@ -76,11 +76,15 @@ class Game:
                     if not isinstance(w, int) or isinstance(w, bool):
                         raise ValueError(f"valuation v_{a}({b}) must be an integer")
                     table[a][b] = w
-            except TypeError:
-                # an id that is no integer fails the range test or the index
+            except (TypeError, ValueError):
+                # a key that is no pair fails to unpack, and an id that is no
+                # integer fails the range test or the index; the first such
+                # key is named, even if the loop stopped at an earlier error
                 for key in valuations:
-                    if isinstance(key, tuple):
-                        _check_ids(key)
+                    if not isinstance(key, tuple) or len(key) != 2:
+                        message = f"valuation key {key!r} is not a pair of agent ids"
+                        raise ValueError(message) from None
+                    _check_ids(key)
                 raise
         if symmetric and (pair := _asymmetric_pair(table)):
             raise ValueError("declared symmetric but v_{0}({1}) != v_{1}({0})".format(*pair))
@@ -202,7 +206,11 @@ class Partition:
             try:
                 members = tuple(sorted(c))
                 repeated = len(set(members)) != len(members)
-            except TypeError:  # ids that do not compare or hash
+            except TypeError:  # no collection, or ids that do not compare or hash
+                try:
+                    iter(c)
+                except TypeError:
+                    raise ValueError(f"coalition {c!r} is not a collection of agent ids") from None
                 _check_ids(c)
                 raise
             if not members:

@@ -331,11 +331,14 @@ def verify(
 def apply_deviation(partition: Partition, deviation: Deviation) -> Partition:
     """The partition after performing ``deviation``.
 
-    Raises ``ValueError`` when the target is the agent's own coalition or
-    not a coalition index of ``partition``.
+    Raises ``ValueError`` when the agent is not in ``partition``, or the
+    target is the agent's own coalition or not a coalition index of it.
     """
     agent = deviation.agent
-    source_idx = partition.index_of(agent)
+    try:
+        source_idx = partition.index_of(agent)
+    except KeyError:
+        raise ValueError(f"deviation agent {agent!r} is not in the partition") from None
     target = deviation.target
     if target == source_idx:
         raise ValueError("deviation target equals the agent's current coalition")

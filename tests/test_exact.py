@@ -110,6 +110,51 @@ def test_enumeration_of_zero_agents_is_the_empty_partition():
         assert list(enumerate_partitions(0, b)) == [Partition([])]
 
 
+class TestLeafBudgets:
+    # enumerate_partitions and max_welfare_partition count the complete
+    # partitions the search reaches, the empty partition of zero agents too;
+    # exists_stable counts candidates tried, and zero agents try none
+    none = EnumerationBudget(max_partitions=0)
+    one = EnumerationBudget(max_partitions=1)
+
+    @pytest.mark.parametrize("b", [SizeBounds(1, 1), SizeBounds(2, 3)])
+    def test_zero_agents_reach_one_leaf(self, b):
+        with pytest.raises(BudgetExceededError):
+            list(enumerate_partitions(0, b, self.none))
+        with pytest.raises(BudgetExceededError):
+            max_welfare_partition(Game(0), b, self.none)
+        assert list(enumerate_partitions(0, b, self.one)) == [Partition([])]
+        assert max_welfare_partition(Game(0), b, self.one) == Partition([])
+
+    @pytest.mark.parametrize("b", [SizeBounds(1, 1), SizeBounds(2, 3)])
+    def test_zero_agents_try_no_candidate(self, b):
+        for concept in ALL_CONCEPTS:
+            assert exists_stable(Game(0), b, concept, self.none) == Partition([])
+
+    @pytest.mark.parametrize(
+        "game, bounds, has_twins, partitions, reached",
+        [
+            (pairs_triangle_no_cns_star(3), SizeBounds(3, 5), True, 35, 12),
+            (cycle_no_is_star(7), SizeBounds(1, 3), False, 652, 5),
+        ],
+    )
+    def test_leaf_caps_finish_at_the_leaf_count(
+        self, game, bounds, has_twins, partitions, reached
+    ):
+        # ``partitions`` is the full enumeration's length and ``reached`` the
+        # leaves branch and bound reaches; each is the smallest cap that finishes
+        rows = [game.row(a) for a in range(game.n + 1)]
+        assert (exact._twin_below(rows, game.n) is not None) == has_twins
+        assert sum(1 for _ in enumerate_partitions(game.n, bounds)) == partitions
+        for oracle, leaves in [
+            (lambda cap: list(enumerate_partitions(game.n, bounds, cap)), partitions),
+            (lambda cap: max_welfare_partition(game, bounds, cap), reached),
+        ]:
+            oracle(EnumerationBudget(max_partitions=leaves))
+            with pytest.raises(BudgetExceededError):
+                oracle(EnumerationBudget(max_partitions=leaves - 1))
+
+
 class TestHonestBudgets:
     # a quiet cap must not turn a truncated search into a verdict
     quiet = EnumerationBudget(max_partitions=1)
@@ -527,12 +572,13 @@ class TestTwinPruning:
             assert exact._twin_below(rows, g.n) == self.pairwise_twin_below(rows, g.n), g
 
     def test_twin_free_games_get_no_hook(self, rng):
-        # such games run the search exactly as before, step for step
+        # such games pass None to the search, which then runs no twin rule
+        # and takes the plain search's steps
         games = [cycle_no_is_star(5), cycle_no_is_star(7)]
         games += [random_game(rng, n) for n in range(4, 9)]
         for g in games:
             rows = [g.row(a) for a in range(g.n + 1)]
-            assert exact._twin_viable_in(rows, g.n) is None
+            assert exact._twin_below(rows, g.n) is None
 
     @pytest.mark.parametrize("trivial_lower", [True, False])
     def test_exists_stable_matches_naive_filter_on_twin_games(self, rng, trivial_lower):

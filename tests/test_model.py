@@ -63,6 +63,13 @@ class TestGame:
     def test_bool_ids_are_the_integers_they_equal(self):
         assert Game(3, {(True, 2): 5}) == Game(3, {(1, 2): 5})
 
+    @pytest.mark.parametrize("key", [5, (1, 2, 3), (1,), "ab", None])
+    def test_keys_that_are_no_pair_are_named(self, key):
+        message = f"^valuation key {re.escape(repr(key))} is not a pair of agent ids$"
+        with pytest.raises(ValueError, match=message) as raised:
+            Game(3, {(1, 3): 1, key: 5})
+        assert raised.value.__cause__ is None and raised.value.__suppress_context__
+
     def test_symmetric_flag_names_the_first_asymmetric_pair(self):
         with pytest.raises(ValueError, match=r"^declared symmetric but v_2\(3\) != v_3\(2\)$"):
             Game(4, {(2, 3): 1, (3, 2): 2, (3, 4): 1}, symmetric=True)
@@ -156,6 +163,13 @@ class TestPartition:
         message = f"^agent ids must be integers, got {re.escape(repr(bad))}$"
         with pytest.raises(ValueError, match=message):
             Partition(coalitions)
+
+    @pytest.mark.parametrize("coalitions, bad", [([5], 5), ([[1], 2], 2), ([[1], None], None)])
+    def test_coalitions_that_are_no_collection_are_named(self, coalitions, bad):
+        message = f"^coalition {re.escape(repr(bad))} is not a collection of agent ids$"
+        with pytest.raises(ValueError, match=message) as raised:
+            Partition(coalitions)
+        assert raised.value.__cause__ is None and raised.value.__suppress_context__
 
     def test_overlap_names_the_first_repeat_in_canonical_order(self):
         with pytest.raises(ValueError, match="^agent 3 appears in more than one coalition$"):

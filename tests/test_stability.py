@@ -276,6 +276,14 @@ def test_apply_deviation_moves_and_cleans_up():
         apply_deviation(p, Deviation(1, 0))
 
 
+@pytest.mark.parametrize("agent", [0, 9, -1])
+def test_apply_deviation_rejects_agents_outside_the_partition(agent):
+    p = Partition([[1, 2], [3]])
+    for target in (0, None):
+        with pytest.raises(ValueError, match=f"^deviation agent {agent} is not in the partition$"):
+            apply_deviation(p, Deviation(agent, target))
+
+
 @pytest.mark.parametrize("target", [-1, 3, 7])
 def test_apply_deviation_rejects_targets_that_are_no_coalition(target):
     p = Partition([[1, 2], [3, 4], [5, 6]])
