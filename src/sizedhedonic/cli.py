@@ -33,16 +33,7 @@ from .model import (
 from .prefs import social_welfare
 from .reductions import mmm_to_ns_is, witness_partition, x3c_to_cns, x3c_to_ns_bounded
 from .stability import Concept, Deviation, verify
-from .textio import (
-    parse_cover,
-    parse_game,
-    parse_matching,
-    parse_mmm,
-    parse_partition,
-    parse_x3c,
-    serialize_game,
-    serialize_partition,
-)
+from .textio import parse, serialize_game, serialize_partition
 
 
 class _UsageError(Exception):
@@ -88,14 +79,6 @@ def _read(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _load_game(path: str) -> Game:
-    return parse_game(_read(path))
-
-
-def _load_partition(path: str) -> Partition:
-    return parse_partition(_read(path))
-
-
 def _print_deviation(deviation: Deviation, partition: Partition) -> None:
     if deviation.target is None:
         print(f"deviation {deviation.agent} new")
@@ -109,8 +92,8 @@ def _emit_partition(partition: Partition) -> None:
 
 
 def _cmd_verify(args) -> int:
-    game = _load_game(args.game)
-    partition = _load_partition(args.partition)
+    game = parse(_read(args.game), "game")
+    partition = parse(_read(args.partition), "partition")
     report = verify(game, partition, args.bounds, args.concept)
     if report.stable:
         print("stable")
@@ -136,7 +119,7 @@ def _greedy_start(game: Game, bounds: SizeBounds) -> Partition | None:
 
 
 def _cmd_solve(args) -> int:
-    game = _load_game(args.game)
+    game = parse(_read(args.game), "game")
     bounds, concept, k = args.bounds, args.concept, args.k
     lo, hi = bounds.lower, bounds.upper
     if k is not None and not (concept.base == "cis" and concept.feasible_variant):
@@ -178,7 +161,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_exists(args) -> int:
-    game = _load_game(args.game)
+    game = parse(_read(args.game), "game")
     if not feasible_partition_exists(game.n, args.bounds):
         return _no_partition(game.n, args.bounds)
     partition = exists_stable(game, args.bounds, args.concept, args.budget)
@@ -190,7 +173,7 @@ def _cmd_exists(args) -> int:
 
 
 def _cmd_maxwelfare(args) -> int:
-    game = _load_game(args.game)
+    game = parse(_read(args.game), "game")
     if not feasible_partition_exists(game.n, args.bounds):
         return _no_partition(game.n, args.bounds)
     partition = max_welfare_partition(game, args.bounds, args.budget)
@@ -227,27 +210,27 @@ def _cmd_reduce(args) -> int:
     if args.theorem != 9 and args.bounds is not None:
         raise _UsageError("--bounds only applies to theorem 9")
     text = _read(args.instance)
+    if args.theorem == 9 and args.bounds is None:
+        raise _UsageError("theorem 9 needs --bounds")
+    instance = parse(text, args.source)
     if args.theorem == 5:
-        reduced = x3c_to_cns(parse_x3c(text), 3 if args.mu is None else args.mu)
+        reduced = x3c_to_cns(instance, 3 if args.mu is None else args.mu)
     elif args.theorem == 6:
-        reduced = mmm_to_ns_is(parse_mmm(text), 2 if args.mu is None else args.mu)
+        reduced = mmm_to_ns_is(instance, 2 if args.mu is None else args.mu)
     else:
-        if args.bounds is None:
-            raise _UsageError("theorem 9 needs --bounds")
-        reduced = x3c_to_ns_bounded(parse_x3c(text), args.bounds)
+        reduced = x3c_to_ns_bounded(instance, args.bounds)
     if args.witness is None:
         sys.stdout.write(serialize_game(reduced.game))
         return 0
-    cert_text = _read(args.witness)
-    certificate = parse_matching(cert_text) if args.theorem == 6 else parse_cover(cert_text)
+    certificate = parse(_read(args.witness), "matching" if args.theorem == 6 else "cover")
     _emit_partition(witness_partition(reduced, certificate))
     return 0
 
 
 def _cmd_dynamics(args) -> int:
-    game = _load_game(args.game)
+    game = parse(_read(args.game), "game")
     if args.init is not None:
-        init = _load_partition(args.init)
+        init = parse(_read(args.init), "partition")
     elif (init := _greedy_start(game, args.bounds)) is None:
         return _no_partition(game.n, args.bounds)
     final, steps = symmetric_dynamics(game, args.bounds, init)

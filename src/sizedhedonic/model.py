@@ -324,18 +324,16 @@ def feasibility_threshold(bounds: SizeBounds) -> int:
     """Least T such that every n >= T admits a partition within ``bounds``.
 
     Requires lower < upper (with lower == upper, feasibility is periodic in n
-    and no threshold exists).  (lower - 1) * upper / (upper - lower) is a
-    certified sufficient bound, so the exact least T is found by scanning
-    below it for the largest infeasible n.
+    and no threshold exists).  With k coalitions the feasible counts are the
+    range [k * lower, k * upper], and consecutive ranges touch exactly when
+    k >= (lower - 1) / (upper - lower).  So for the least such k, call it K,
+    K * lower - 1 is the largest infeasible count (it lies in the gap before
+    range K), and T = K * lower; with lower = 1 there is no gap and T = 0.
     """
     lo, hi = bounds.lower, bounds.upper
     if lo >= hi:
         raise ValueError("threshold requires lower < upper")
-    cap = -(-(lo - 1) * hi // (hi - lo))  # ceil of the sufficient bound
-    for n in range(cap - 1, 0, -1):
-        if not feasible_partition_exists(n, bounds):
-            return n + 1
-    return 0
+    return -(-(lo - 1) // (hi - lo)) * lo
 
 
 def greedy_feasible_partition(agents: Iterable[int], bounds: SizeBounds) -> list[list[int]] | None:

@@ -14,10 +14,11 @@ Formats (blank lines are ignored everywhere; ids are 1-based):
 
 ``parse`` / ``serialize`` round-trip on canonical form.
 
-A canonical game file (ASCII, ``\n`` line breaks, the header and then only
-``v i j w`` lines, as ``serialize_game`` writes) is parsed in bulk, a few
-kilobytes at a time; every other game text is parsed line by line, with
-identical results and errors.
+A canonical game file (ASCII, ``\n`` line breaks, the header on the first
+line with any whitespace between its tokens, and then only ``v i j w``
+lines, as ``serialize_game`` writes) is parsed in bulk, a few kilobytes at
+a time; every other game text is parsed line by line, with identical
+results and errors.
 """
 
 from __future__ import annotations
@@ -52,17 +53,46 @@ def _int(token: str, number: int, what: str) -> int:
         raise ParseError(number, f"{what} must be an integer, got {token!r}") from None
 
 
+def _build(constructor, *args):
+    """``constructor(*args)``, with its ``ValueError`` raised as a ``ParseError``.
+
+    Such an error concerns the text as a whole, so its line is 0.
+    """
+    try:
+        return constructor(*args)
+    except ValueError as exc:
+        raise ParseError(0, str(exc)) from None
+
+
 def parse_game(text: str) -> Game:
     """Parse the game format into a ``Game``.
 
     A canonical text, such as ``serialize_game`` writes, is read in bulk by
     ``_parse_canonical_game``.  Any other text, and every text with an
-    error, is read by the line loop ``_parse_game_lines``.  Both build the
-    same table, and only the line loop raises, so each error keeps its text
-    and line number.
+    error in its body, is read by the line loop ``_parse_game_lines``.
+    Both build the same table.  A header error is raised by
+    ``_game_header``, which both passes call on the same tokens and line
+    number; only the line loop raises a body error.  So each error keeps
+    its text and line number.
     """
     game = _parse_canonical_game(text)
     return game if game is not None else _parse_game_lines(text)
+
+
+def _game_header(tokens: list[str], line: int) -> tuple[int, bool]:
+    """The agent count and symmetric flag of an ``ashg <n> [symmetric]`` header.
+
+    ``tokens`` are the (non-empty) whitespace-split header, found on
+    ``line``; a malformed header raises its ``ParseError``.
+    """
+    if tokens[0] != "ashg" or len(tokens) not in (2, 3):
+        raise ParseError(line, "expected header 'ashg <n> [symmetric]'")
+    n = _int(tokens[1], line, "agent count")
+    if n < 0:
+        raise ParseError(line, "agent count must be nonnegative")
+    if tokens[2:] not in ([], ["symmetric"]):
+        raise ParseError(line, f"unknown header flag {tokens[2]!r}")
+    return n, len(tokens) == 3
 
 
 # Characters per bulk chunk; a chunk runs on to the end of its last line.
@@ -75,35 +105,32 @@ def _parse_canonical_game(text: str) -> Game | None:
     r"""The game of a canonical text, or None for a text it cannot vouch for.
 
     Canonical means ASCII with ``\n`` as the only line break, the header
-    ``ashg <n>`` or ``ashg <n> symmetric`` on the first line, and then only
-    lines that begin with ``v `` and hold four tokens.  The body is read in
-    chunks of about ``_CHUNK`` characters cut after a ``\n``, so no list of
-    the whole file is kept.  A chunk of L lines, each beginning with ``v ``,
-    must split into 4L tokens.  The i and j columns (tokens 1, 5, 9, ...
-    and 2, 6, 10, ...) go through a dict of the strings ``"1"``..``"n"``,
-    which also checks their range, and each distinct string of the w column
-    through ``int``, as in the line loop.  Since ``v`` is neither an id nor
+    ``ashg <n>`` or ``ashg <n> symmetric`` on the first line (split on any
+    whitespace, as the line loop splits it), and then only lines that begin
+    with ``v `` and hold four tokens.  The body is read in chunks of about
+    ``_CHUNK`` characters cut after a ``\n``, so no list of the whole file
+    is kept.  A chunk of L lines, each beginning with ``v ``, must split into
+    4L tokens.  The i and j columns (tokens 1, 5, 9, ... and 2, 6, 10, ...)
+    go through a dict of the strings ``"1"``..``"n"``, which also checks
+    their range, and each distinct string of the w column through ``int``,
+    as in the line loop.  Since ``v`` is neither an id nor
     an integer, the L ``v`` that begin the lines then all sit in the
     L places of the tag column, so each line is exactly ``v i j w``.  The
     table and a seen-marker are filled by C-level scatters, and the marks
     are counted at the end: a self-valuation marks the diagonal, and a
     repeated pair (under ``symmetric``, either direction of a given pair)
-    marks fewer cells than there are lines.  Any failed check returns None,
-    and the line loop then reads the text and raises its error.
+    marks fewer cells than there are lines.  Any other failed check returns
+    None, and the line loop then reads the text and raises its error.  A
+    malformed header on the first line is the exception: ``_game_header``
+    raises here the error the line loop would raise for the same line.
     """
     if not text.isascii() or any(map(text.__contains__, _OTHER_LINE_BREAKS)):
         return None
     end = text.find("\n")
-    header = (text if end < 0 else text[:end]).split(" ")
-    if header[0] != "ashg" or len(header) not in (2, 3) or header[2:] not in ([], ["symmetric"]):
+    header = (text if end < 0 else text[:end]).split()
+    if not header:
         return None
-    try:
-        n = int(header[1])
-    except ValueError:
-        return None
-    if n < 0:
-        return None
-    symmetric = len(header) == 3
+    n, symmetric = _game_header(header, 1)
     ids = {str(a): a for a in range(1, n + 1)}
     table = [[0] * (n + 1) for _ in range(n + 1)]
     seen = [bytearray(n + 1) for _ in range(n + 1)]
@@ -156,16 +183,7 @@ def _parse_game_lines(text: str) -> Game:
             break
     else:
         raise ParseError(1, "empty input, expected an 'ashg' header")
-    if header[0] != "ashg" or len(header) not in (2, 3):
-        raise ParseError(number, "expected header 'ashg <n> [symmetric]'")
-    n = _int(header[1], number, "agent count")
-    if n < 0:
-        raise ParseError(number, "agent count must be nonnegative")
-    symmetric = False
-    if len(header) == 3:
-        if header[2] != "symmetric":
-            raise ParseError(number, f"unknown header flag {header[2]!r}")
-        symmetric = True
+    n, symmetric = _game_header(header, number)
     table = [[0] * (n + 1) for _ in range(n + 1)]
     seen = [bytearray(n + 1) for _ in range(n + 1)]
     for number, raw in rows:
@@ -214,10 +232,7 @@ def parse_partition(text: str) -> Partition:
     coalitions = []
     for number, tokens in _lines(text):
         coalitions.append([_int(tok, number, "agent id") for tok in tokens])
-    try:
-        return Partition(coalitions)
-    except ValueError as exc:
-        raise ParseError(0, str(exc)) from None
+    return _build(Partition, coalitions)
 
 
 def serialize_partition(partition: Partition) -> str:
@@ -237,10 +252,7 @@ def parse_x3c(text: str) -> X3CInstance:
         if tokens[0] != "set" or len(tokens) != 4:
             raise ParseError(number, "expected 'set <a> <b> <c>'")
         sets.append(tuple(_int(tok, number, "element") for tok in tokens[1:]))
-    try:
-        return X3CInstance(ground, tuple(sets))
-    except ValueError as exc:
-        raise ParseError(0, str(exc)) from None
+    return _build(X3CInstance, ground, tuple(sets))
 
 
 def serialize_x3c(instance: X3CInstance) -> str:
@@ -263,10 +275,7 @@ def parse_mmm(text: str) -> MMMInstance:
         if tokens[0] != "edge" or len(tokens) != 3:
             raise ParseError(number, "expected 'edge <i> <j>'")
         edges.append((_int(tokens[1], number, "vertex"), _int(tokens[2], number, "vertex")))
-    try:
-        return MMMInstance(n, k, tuple(edges))
-    except ValueError as exc:
-        raise ParseError(0, str(exc)) from None
+    return _build(MMMInstance, n, k, tuple(edges))
 
 
 def serialize_mmm(instance: MMMInstance) -> str:

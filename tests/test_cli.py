@@ -544,3 +544,75 @@ class TestMaxNFlag:
         code, out, err = invoke(capsys, *argv, "--max-n", "5", files["intro_pos"])
         assert (code, out) == (3, "") and "budget" in err
         assert invoke(capsys, *argv, "--max-n", "6", files["intro_pos"])[0] == 0
+
+
+class TestFileArguments:
+    """Every file argument is read and parsed the same way: a missing or
+    malformed file is an input error that names the path or the line."""
+
+    X3C = "x3c 6\nset 1 2 3\nset 2 3 4\nset 4 5 6\n"
+    MMM = "mmm 3 2\nedge 1 4\nedge 2 4\nedge 3 5\n"
+
+    # (argv with FILE in the place of the file under test, a malformed text
+    # for that file, the error it gives)
+    CASES = {
+        "verify-game": (
+            ("verify", "--concept", "ns", "--bounds", "2:3", "FILE", "PAIRS"),
+            "ashg 6\nv 1 2 x\n", "line 2: valuation must be an integer, got 'x'",
+        ),
+        "verify-partition": (
+            ("verify", "--concept", "ns", "--bounds", "2:3", "GAME", "FILE"),
+            "1 2\n3 x\n", "line 2: agent id must be an integer, got 'x'",
+        ),
+        "dynamics-init": (
+            ("dynamics", "--bounds", "2:3", "--init", "FILE", "GAME"),
+            "1 2\n\n3 4 4\n", "line 0: repeated agent inside coalition (3, 4, 4)",
+        ),
+        "reduce-x3c": (
+            ("reduce", "--from", "x3c", "--theorem", "5", "FILE"),
+            "x3c 6\nset 1 2\n", "line 2: expected 'set <a> <b> <c>'",
+        ),
+        "reduce-mmm": (
+            ("reduce", "--from", "mmm", "--theorem", "6", "FILE"),
+            "mmm 3 2\nedge 1 4\nedge 1 x\n", "line 3: vertex must be an integer, got 'x'",
+        ),
+        "reduce-cover": (
+            ("reduce", "--from", "x3c", "--theorem", "5", "--witness", "FILE", "X3C"),
+            "cover 1\nset 3\n", "line 2: expected 'cover <s1> <s2> ...'",
+        ),
+        "reduce-matching": (
+            ("reduce", "--from", "mmm", "--theorem", "6", "--witness", "FILE", "MMM"),
+            "match 1 4\nmatch 3\n", "line 2: expected 'match <i> <j>'",
+        ),
+    }
+
+    def argv(self, files, tmp_path, template, path):
+        inputs = {"FILE": path, "PAIRS": files["pairs"], "GAME": files["intro_pos"]}
+        for name, text in (("X3C", self.X3C), ("MMM", self.MMM)):
+            (tmp_path / name).write_text(text)
+            inputs[name] = str(tmp_path / name)
+        return [inputs.get(arg, arg) for arg in template]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_a_missing_file_is_exit_three(self, capsys, files, tmp_path, case):
+        missing = str(tmp_path / "missing")
+        code, out, err = invoke(capsys, *self.argv(files, tmp_path, self.CASES[case][0], missing))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot read {missing}: ")
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_a_malformed_file_is_exit_three(self, capsys, files, tmp_path, case):
+        template, text, message = self.CASES[case]
+        bad = tmp_path / "bad"
+        bad.write_text(text)
+        argv = self.argv(files, tmp_path, template, str(bad))
+        assert invoke(capsys, *argv) == (3, "", f"error: {message}\n")
+
+    def test_theorem_9_reads_its_instance_before_the_bounds_check(self, capsys, tmp_path):
+        argv = ("reduce", "--from", "x3c", "--theorem", "9")
+        missing = str(tmp_path / "missing")
+        code, out, err = invoke(capsys, *argv, missing)
+        assert (code, out) == (3, "") and err.startswith(f"error: cannot read {missing}: ")
+        bad = tmp_path / "bad"
+        bad.write_text("x3c 6\nset 1 2\n")
+        assert invoke(capsys, *argv, str(bad)) == (3, "", "error: theorem 9 needs --bounds\n")

@@ -116,6 +116,27 @@ class TestGame:
         assert Game(0).is_nonzero() and Game(1).is_nonzero() and Game(1).is_nonnegative()
 
 
+    def test_equal_games_hash_equal_and_the_symmetric_flag_counts(self):
+        table = {(1, 2): 4, (2, 1): 4, (3, 1): -2, (1, 3): -2}
+        assert Game(3, table) == Game(3, dict(reversed(table.items())))
+        assert hash(Game(3, table)) == hash(Game(3, dict(reversed(table.items()))))
+        declared = Game(3, table, symmetric=True)
+        assert declared != Game(3, table)
+        assert hash(declared) != hash(Game(3, table))
+        assert len({Game(3, table), Game(3, table), declared}) == 2
+
+    def test_repr_counts_nonzero_valuations(self):
+        table = {(1, 2): 4, (2, 1): 4, (2, 3): 0}
+        assert repr(Game(3, table)) == "Game(n=3, 2 nonzero valuations)"
+        assert repr(Game(3, table, symmetric=True)) == "Game(n=3, 2 nonzero valuations, symmetric)"
+        assert repr(Game(0)) == "Game(n=0, 0 nonzero valuations)"
+
+    def test_never_equal_to_another_type(self):
+        assert Game(2) != (2,)
+        assert not Game(0) == 0
+        assert Game(0).__eq__(0) is NotImplemented
+
+
 class TestPartition:
     def test_canonical_form(self):
         p = Partition([[4, 2], [3, 1]])
@@ -176,6 +197,12 @@ class TestPartition:
             Partition([[4, 3], [1, 4], [2, 3]])
         with pytest.raises(ValueError, match="^agent True appears in more than one coalition$"):
             Partition([[1], [True]])
+
+
+    def test_never_equal_to_another_type(self):
+        assert Partition([[1, 2]]) != ((1, 2),)
+        assert not Partition([]) == ()
+        assert Partition([[1]]).__eq__(((1,),)) is NotImplemented
 
 
 class TestSizeBounds:

@@ -62,6 +62,14 @@ class TestInstanceTypes:
             MMMInstance(0, 1, ())
 
 
+    def test_witness_of_an_unknown_construction_is_named(self):
+        from dataclasses import replace
+
+        reduced = replace(x3c_to_cns(FIG2, 3), construction="x3c_to_nothing")
+        with pytest.raises(ValueError, match="^unknown construction 'x3c_to_nothing'$"):
+            witness_partition(reduced, [1, 3])
+
+
 class TestX3CToCns:
     def test_agent_counts(self):
         rg = x3c_to_cns(FIG2, 3)
