@@ -14,16 +14,22 @@
   some instances, which the leader algorithms here repair.
 
 All algorithms break ties toward the lowest agent id, so runs are
-reproducible.
+reproducible.  That tie-break is stated once, in ``prefs``: each leader
+ranks its pool once with ``prefs.ranking`` and reads every option it weighs
+from that ranking, and a ``cns_pairs`` leader, which needs only its best
+partner, takes the ranking's head with ``prefs.favorite``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, islice, repeat
+from math import inf
+from operator import add
 from typing import Iterator
 
 from .model import Game, Partition, SizeBounds, feasible_k_partition_exists
-from .prefs import enemies, friends, top_set, utility
+from .prefs import favorite, friends, ranking, utility
 from .stability import Concept, Deviation, apply_deviation, verify
 
 
@@ -76,37 +82,39 @@ def cis_upper(game: Game, upper: int) -> tuple[Partition, tuple[TraceEntry, ...]
         raise ValueError("upper bound must be at least 2")
     available: set[int] = set(game.agents)
     coalitions: list[list[int]] = []
-    deciders: list[set[int]] = []
+    deciders: list[list[list[int]]] = []  # the rows of each coalition's decision makers
+    joinable: list[int] = []  # indices of the coalitions not yet full, in creation order
     entries: list[TraceEntry] = []
     while available:
         a = min(available)
         row = game.row(a)
-        liked = friends(game, a, available)
-        own_helpers = top_set(game, a, liked, upper - 1)
-        best = sum(row[b] for b in own_helpers)
+        ranked = ranking(game, a, friends(game, a, available))
+        own_helpers = sorted(ranked[: upper - 1])
+        best = sum(map(row.__getitem__, own_helpers))
         target = None
         target_helpers = own_helpers
-        for idx, members in enumerate(coalitions):
-            if len(members) + 1 > upper:
-                continue
-            if any(game.row(d)[a] < 0 for d in deciders[idx]):
+        for idx in joinable:
+            members, rows = coalitions[idx], deciders[idx]
+            if any(d[a] < 0 for d in rows):
                 continue  # a decision maker vetoes the mover itself
-            vetoed = enemies(game, deciders[idx], available)
-            pool = [b for b in liked if b not in vetoed]
-            helpers = top_set(game, a, pool, upper - len(members) - 1)
-            gain = sum(row[b] for b in members) + sum(row[b] for b in helpers)
+            approved = (b for b in ranked if all(d[b] >= 0 for d in rows))
+            helpers = sorted(islice(approved, upper - len(members) - 1))
+            gain = sum(map(row.__getitem__, members)) + sum(map(row.__getitem__, helpers))
             if gain > best:
                 best, target, target_helpers = gain, idx, helpers
         if target is None:
+            target = len(coalitions)
             coalitions.append([a, *own_helpers])
-            deciders.append({a})
-            entries.append(TraceEntry(a, "created", len(coalitions), tuple(own_helpers)))
-            available.difference_update(coalitions[-1])
+            deciders.append([row])
+            joinable.append(target)
+            entries.append(TraceEntry(a, "created", target + 1, tuple(own_helpers)))
         else:
             coalitions[target].extend([a, *target_helpers])
-            deciders[target].add(a)
+            deciders[target].append(row)
             entries.append(TraceEntry(a, "joined", target + 1, tuple(target_helpers)))
-            available.difference_update({a, *target_helpers})
+        available.difference_update((a, *target_helpers))
+        if len(coalitions[target]) == upper:
+            joinable.remove(target)
     return Partition(coalitions), tuple(entries)
 
 
@@ -167,12 +175,8 @@ def cns_pairs(game: Game) -> Partition:
     for a in game.agents:
         if a not in available:
             continue
-        row = game.row(a)
-        best = None
-        for b in sorted(available):
-            if row[b] > 0 and (best is None or row[b] > row[best]):
-                best = b
-        if best is not None:
+        best = favorite(game, a, available)
+        if best is not None and game.row(a)[best] > 0:
             pairs.append([a, best])
             available.difference_update((a, best))
     pairs.extend([a] for a in sorted(available))
@@ -216,21 +220,26 @@ def cis_star_nonzero(game: Game, bounds: SizeBounds, k: int) -> Partition | None
     """
     if not _k_partition_exists(game, bounds, k, game.is_nonzero, "nonzero"):
         return None
+    lo, hi = bounds.lower, bounds.upper
     available: set[int] = set(game.agents)
-    x = game.n - bounds.lower * k
+    x = game.n - lo * k
     coalitions: list[list[int]] = []
     for _ in range(k):
         a = min(available)
-        members = [a, *top_set(game, a, available, bounds.lower - 1)]
-        liked = friends(game, a, available.difference(members))
-        members += top_set(game, a, liked, min(bounds.upper - bounds.lower, x))
+        row = game.row(a)
+        ranked = ranking(game, a, available)
+        # friends come first in the ranking, so the best of them that phase I
+        # left are the positive prefix of the rest
+        extra = [b for b in ranked[lo - 1 : lo - 1 + min(hi - lo, x)] if row[b] > 0]
+        members = [a, *sorted(ranked[: lo - 1]), *sorted(extra)]
         coalitions.append(members)
         available.difference_update(members)
-        x -= max(0, len(members) - bounds.lower)
+        x -= max(0, len(members) - lo)
     rest = sorted(available)
     for members in reversed(coalitions):
-        while rest and len(members) < bounds.upper:
-            members.append(rest.pop(0))
+        room = hi - len(members)
+        members += rest[:room]
+        del rest[:room]
     assert not rest, "k-partition capacity check guarantees room for everyone"
     return Partition(coalitions)
 
@@ -255,25 +264,33 @@ def cis_star_nonneg(game: Game, bounds: SizeBounds, k: int) -> Partition | None:
     available: set[int] = set(game.agents)
     coalitions: list[list[int]] = [[] for _ in range(k)]
     x = game.n - lo * k
+    opened = 0  # coalitions with members
     while available:
         a = min(available)
         row = game.row(a)
-        # the friends ranked once as ``top_set`` ranks them; the r - 1 best
-        # of them, in id order, are its result for every coalition
-        ranked = sorted(friends(game, a, available), key=lambda b: (-row[b], b))
-        budgets = [min(x + max(0, lo - len(m)), hi - len(m)) for m in coalitions]
-        best, target, helpers = 0, None, []
-        for i, (members, r) in enumerate(zip(coalitions, budgets)):
-            if r < 1:
-                continue
-            cand = sorted(ranked[: r - 1])
-            gain = sum(row[b] for b in members) + sum(row[b] for b in cand)
-            if gain > best:
-                best, target, helpers = gain, i, cand
-        if target is None:
-            target = next((i for i, r in enumerate(budgets) if r >= 1), None)
+        ranked = ranking(game, a, friends(game, a, available))
+        prefix = [0, *accumulate(map(row.__getitem__, ranked))]
+        # by coalition size: the admission budget r, and what the r - 1 best
+        # friends bring along (-inf when r < 1, so the coalition never wins)
+        budget = [min(x + max(0, lo - s), hi - s) for s in range(hi + 1)]
+        bring = [prefix[min(r - 1, len(ranked))] if r >= 1 else -inf for r in budget]
+        # a leader takes the earliest of equal options, so the empty coalitions
+        # are always the last ones, and the first of them stands for them all
+        options = coalitions[: opened + 1]
+        sizes = list(map(len, options))
+        worth = map(sum, map(map, repeat(row.__getitem__), options))  # row sum of each
+        gains = list(map(add, worth, map(bring.__getitem__, sizes)))
+        best = max(gains)
+        if best > 0:
+            target = gains.index(best)
+            helpers = sorted(ranked[: budget[sizes[target]] - 1])
+        else:
+            target = next((i for i, s in enumerate(sizes) if budget[s] >= 1), None)
             assert target is not None, "size deficits plus x always cover the pool"
+            helpers = []
         members = coalitions[target]
+        if not members:
+            opened += 1
         x -= max(0, 1 + len(helpers) - max(0, lo - len(members)))
         members.append(a)
         members.extend(helpers)

@@ -1,7 +1,15 @@
 """Utility evaluation, social welfare, and agent-set selectors.
 
-The selectors (best-k subset, friends, enemies) are the building blocks of
-every constructive algorithm in the package.  All functions are pure.
+The selectors (ranking, best-k subset, friends, enemies) are the building
+blocks of every constructive algorithm in the package.  All functions are
+pure.
+
+An agent ranks others by its valuation, highest first, and breaks ties
+toward the lowest agent id.  That rule is stated once: ``_ids`` lists the
+pool in increasing id order, ``ranking`` sorts that list stably by
+valuation, and ``favorite`` takes its first maximum without a sort.  Every
+other selector and solver reads its choices from these two, which makes
+every algorithm in the package deterministic.
 """
 
 from __future__ import annotations
@@ -28,21 +36,39 @@ def social_welfare(game: Game, partition: Partition) -> int:
     return sum(utility(game, a, c) for c in partition for a in c)
 
 
+def ranking(game: Game, agent: int, pool: Iterable[int]) -> list[int]:
+    """The members of ``pool`` other than ``agent``, best first.
+
+    Ordered by the agent's valuation, highest first, ties toward the lowest
+    id: a stable sort of the ids in increasing order.  Repeated ids count
+    once.
+    """
+    return sorted(_ids(agent, pool), key=game.row(agent).__getitem__, reverse=True)
+
+
+def favorite(game: Game, agent: int, pool: Iterable[int]) -> int | None:
+    """The first of the agent's ``ranking`` of ``pool``; None when there is none.
+
+    One pass instead of a sort: ``max`` keeps the first of equal values,
+    and in increasing id order that is the lowest id.
+    """
+    return max(_ids(agent, pool), key=game.row(agent).__getitem__, default=None)
+
+
+def _ids(agent: int, pool: Iterable[int]) -> list[int]:
+    ids = set(pool)
+    ids.discard(agent)
+    return sorted(ids)
+
+
 def top_set(game: Game, agent: int, pool: Iterable[int], k: int) -> list[int]:
     """Up to ``k`` agents of ``pool`` (minus ``agent``) that the agent values most.
 
-    Returns all of pool minus the agent when it has fewer than k members.
-    Ties are broken toward the lowest agent id, which makes every algorithm
-    in the package deterministic.  Result is sorted by id.
+    The first ``k`` of the agent's ``ranking`` of the pool, sorted by id:
+    all of pool minus the agent when it has fewer than k members, and none
+    for k <= 0.
     """
-    candidates = [b for b in set(pool) if b != agent]
-    if k <= 0:
-        return []
-    if k >= len(candidates):
-        return sorted(candidates)
-    row = game.row(agent)
-    candidates.sort(key=lambda b: (-row[b], b))
-    return sorted(candidates[:k])
+    return sorted(ranking(game, agent, pool)[: max(k, 0)])
 
 
 def friends(game: Game, who: int | Iterable[int], pool: Iterable[int]) -> set[int]:
@@ -50,23 +76,18 @@ def friends(game: Game, who: int | Iterable[int], pool: Iterable[int]) -> set[in
 
     ``who`` may be a single agent or a set of agents; for a set, the result
     is the union over its members.  The sign test is applied to individual
-    valuations, never to sums.
+    valuations, never to sums.  A row's own entry is 0, so an agent never
+    selects itself.
     """
-    return _signed(game, who, pool, positive=True)
+    members = list(pool)  # read once for each row of ``who``
+    return {b for row in _rows(game, who) for b in members if row[b] > 0}
 
 
 def enemies(game: Game, who: int | Iterable[int], pool: Iterable[int]) -> set[int]:
     """Members of ``pool`` valued strictly negatively by ``who``."""
-    return _signed(game, who, pool, positive=False)
+    members = list(pool)
+    return {b for row in _rows(game, who) for b in members if row[b] < 0}
 
 
-def _signed(game, who, pool, positive: bool) -> set[int]:
-    sources = [who] if isinstance(who, int) else list(who)
-    result: set[int] = set()
-    for b in pool:
-        for a in sources:  # row entry a is 0, so an agent never selects itself
-            v = game.row(a)[b]
-            if (v > 0) if positive else (v < 0):
-                result.add(b)
-                break
-    return result
+def _rows(game: Game, who: int | Iterable[int]) -> list[list[int]]:
+    return [game.row(who)] if isinstance(who, int) else [game.row(a) for a in who]

@@ -9,6 +9,7 @@ from sizedhedonic import (
     NotSymmetricError,
     Partition,
     SizeBounds,
+    TraceEntry,
     aziz_failure,
     aziz_reference,
     cis_star_nonneg,
@@ -31,6 +32,7 @@ from sizedhedonic import (
 from sizedhedonic.stability import apply_deviation
 from sizedhedonic.model import Game
 
+import solver_reference as reference
 from conftest import random_feasible_bounds, random_feasible_partition, random_game
 
 
@@ -388,3 +390,165 @@ class TestDynamicsCycle:
                 assert apply_deviation(seen[-1], witness) == exc.cycle[0]
             else:
                 assert verify(g, seen[-1], b, Concept.NS_STAR).stable
+
+
+def _coalitions(text):
+    """``"1 3|2"`` -> ``((1, 3), (2,))``."""
+    return tuple(tuple(map(int, c.split())) for c in text.split("|"))
+
+
+def _trace(text):
+    """``"1+1:3,6 8>4"`` -> agent 1 created coalition 1 with helpers 3 and 6,
+    then agent 8 joined coalition 4 alone."""
+    entries = []
+    for item in text.split():
+        head, _, helpers = item.partition(":")
+        sign = "+" if "+" in head else ">"
+        agent, coalition = head.split(sign)
+        action = "created" if sign == "+" else "joined"
+        entries.append(TraceEntry(int(agent), action, int(coalition),
+                                  tuple(int(h) for h in helpers.split(",") if h)))
+    return tuple(entries)
+
+
+class TestSolverPins:
+    """Seeded answers on tie-heavy games (valuations 0..2 or -1..1).
+
+    Equal valuations abound, so these pin every tie-break: partners and
+    helpers toward the lowest id, founding over an equal join, and the
+    earlier coalition over a later one with the same gain.
+    """
+
+    @pytest.mark.parametrize(
+        "seed, n, values, upper, coalitions, trace",
+        [
+            (11, 12, (0, 2), 3,
+             "1 3 6|2 9 10|4 7 12|5 8 11",
+             "1+1:3,6 2+2:9,10 4+3:7,12 5+4:11 8>4"),
+            (12, 24, (-1, 1), 4,
+             "1 4 5 6|2 7 10 11|3 8 12 14|9 15 21 24|13|16 18 23|17 22|19 20",
+             "1+1:4,5,6 2+2:7,10,11 3+3:8,12,14 9+4:15,24 13+5 16+6:18,23 17+7:22 19+8:20 21>4"),
+            (13, 30, (-1, 1), 5,
+             "1 4 5 7 9|2 3 10 11 13|6 12 20 21 22|8 14 16 17 26|15 24 28|18 30|19 29|23 25|27",
+             "1+1:4,5,7,9 2+2:3,10,11,13 6+3:12,20,21,22 8+4:14,16,26 15+5:24,28 17>4 "
+             "18+6:30 19+7:29 23+8:25 27+9"),
+            (15, 8, (0, 2), 4, "1 3 4 5|2 6 7 8", "1+1:4,5 2+2:6,7 3>1 8>2"),
+            (15, 30, (0, 2), 2,
+             "1 4|2 3|5 8|6 10|7 9|11 18|12 13|14 20|15 17|16 21|19 22|23 27|24 25|26 28|29|30",
+             "1+1:4 2+2:3 5+3:8 6+4:10 7+5:9 11+6:18 12+7:13 14+8:20 15+9:17 16+10:21 "
+             "19+11:22 23+12:27 24+13:25 26+14:28 29+15 30+16"),
+            (16, 30, (-1, 1), 6,
+             "1 11 12 15 21 23|2 3 4 5 9 10|6 8 13 19|7 14 18 26 27 30|16 17 28|20 24 29|22|25",
+             "1+1:11,12,15,21,23 2+2:3,4,5,9,10 6+3:8,13,19 7+4:18,26,27,30 14>4 16+5:28 "
+             "17>5 20+6:24,29 22+7 25+8"),
+            (28, 24, (0, 2), 5,
+             "1 3 5 6 7|2 10 11 12 13|4 8 18 20 21|9 14 16 17 24|15 19 22 23",
+             "1+1:3,5,6,7 2+2:10,11,12,13 4+3:8,18,20,21 9+4:14,16,24 15+5:19,22,23 17>4"),
+            (31, 12, (0, 2), 4, "1 3 7 11|2 5 8 12|4 6 9 10", "1+1:3,7,11 2+2:5,12 4+3:6,9 8>2 10>3"),
+        ],
+    )
+    def test_cis_upper(self, seed, n, values, upper, coalitions, trace):
+        g = random_game(random.Random(seed), n, *values)
+        partition, entries = cis_upper(g, upper)
+        assert partition.coalitions == _coalitions(coalitions)
+        assert entries == _trace(trace)
+
+    @pytest.mark.parametrize(
+        "seed, n, values, coalitions",
+        [
+            (21, 10, (0, 2), "1 4|2 5|3 7|6 10|8 9"),
+            (22, 15, (-1, 1), "1 5|2 4|3 7|6 8|9 10|11 13|12 14|15"),
+            (23, 20, (0, 2), "1 5|2 4|3 7|6 11|8 9|10 12|13 20|14 16|15 17|18 19"),
+            (24, 30, (-1, 1),
+             "1 2|3 4|5 7|6 9|8 10|11 12|13 16|14 15|17 21|18 20|19 26|22 27|23 24|25 28|29 30"),
+            (25, 30, (0, 2),
+             "1 6|2 3|4 5|7 9|8 11|10 16|12 14|13 25|15 17|18 19|20 21|22 24|23 26|27 30|28 29"),
+        ],
+    )
+    def test_cns_pairs(self, seed, n, values, coalitions):
+        g = random_game(random.Random(seed), n, *values)
+        assert cns_pairs(g).coalitions == _coalitions(coalitions)
+
+    @pytest.mark.parametrize(
+        "seed, n, values, bounds, k, coalitions",
+        [
+            (31, 12, (-1, 1), SizeBounds(2, 4), 4, "1 3 5|2 6 7 12|4 8 11|9 10"),
+            (32, 16, (0, 2), SizeBounds(2, 3), 6, "1 5 7|2 4 6|3 8 9|10 11 12|13 14|15 16"),
+            (33, 20, (-1, 1), SizeBounds(3, 5), 5,
+             "1 4 5 7 8|2 10 12 13 15|3 9 14 17|6 11 16|18 19 20"),
+            (34, 25, (0, 2), SizeBounds(2, 5), 7,
+             "1 2 6 7 9|3 4 5 10 14|8 11 12 20 21|13 18 19 24|15 17|16 23|22 25"),
+            (35, 30, (-1, 1), SizeBounds(2, 4), 9,
+             "1 2 4 6|3 11 13 15|5 7 8 16|9 12 17 18|10 23 24 28|14 21 22 25|19 27|20 26|29 30"),
+            (36, 30, (-1, 1), SizeBounds(3, 6), 7,
+             "1 2 5 10 11 12|3 6 9 14 15 16|4 7 8 13 19 22|17 18 20|21 24 25|23 26 28|27 29 30"),
+        ],
+    )
+    def test_cis_star_nonzero(self, seed, n, values, bounds, k, coalitions):
+        g = random_game(random.Random(seed), n, *values, nonzero=True)
+        assert cis_star_nonzero(g, bounds, k).coalitions == _coalitions(coalitions)
+
+    @pytest.mark.parametrize(
+        "seed, n, coalitions",
+        [
+            (41, 8, "1 7 8|2 3 6|4 5"),
+            (42, 12, "1 2 5 10 12|3 4 6 7 8 9|11"),
+            (43, 20, "1 4 8 9 12 14 16 18 20|2 13 17|3 6 15 19|5 11|7 10"),
+            (44, 30, "1 3 4 5 14 18 19 21 22 24 26 27|2 7 9 30|6 8 15 20 25 28 29|10 11 16 23|12 13 17"),
+        ],
+    )
+    def test_aziz_reference(self, seed, n, coalitions):
+        g = random_game(random.Random(seed), n, -1, 1)
+        assert aziz_reference(g).coalitions == _coalitions(coalitions)
+
+
+def _same_answers(game, upper, bounds, k):
+    """Each solver that applies to ``game`` gives its reference copy's answer."""
+    assert cis_upper(game, upper) == reference.cis_upper(game, upper)
+    assert cns_pairs(game) == reference.cns_pairs(game)
+    for solver, ref, signs in ((cis_star_nonzero, reference.cis_star_nonzero, game.is_nonzero),
+                               (cis_star_nonneg, reference.cis_star_nonneg, game.is_nonnegative)):
+        if signs():
+            assert solver(game, bounds, k) == ref(game, bounds, k)
+
+
+class TestSolversMatchTheReferences:
+    """The solvers against the reference copies in tests/solver_reference.py."""
+
+    def test_small_tie_heavy_games(self, rng):
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            values = rng.choice(((-1, 1), (0, 2), (-3, 3)))
+            lo = rng.randint(2, max(2, n))
+            bounds, k = SizeBounds(lo, rng.randint(lo, max(lo, n))), rng.randint(0, n)
+            upper = rng.randint(2, max(2, n))
+            for signs in ({}, {"nonzero": True}, {"nonneg": True}):
+                _same_answers(random_game(rng, n, *values, **signs), upper, bounds, k)
+
+
+class TestSolversAtScale:
+    """The solvers against the reference copies on games of 150 to 400 agents.
+
+    Each game takes the bounds of the ``verify`` benchmark workload:
+    ``cis_upper`` at upper bounds 3 and 4, ``cns_pairs``, and the k-coalition
+    solvers at 2:5 (nonzero) and 3:6 (nonnegative) with k = n / ⌊(L+U)/2⌋.
+    Valuations run over -4..4 as there, and over the tie-heavy -1..1 and 0..2.
+    """
+
+    def test_solvers_match_the_references(self):
+        rng = random.Random(0x5CA1E5)
+        for i in range(6):
+            n = rng.randint(150, 400)
+            values = ((-4, 4), (-1, 1), (0, 2))[i % 3]
+            g = random_game(rng, n, *values)
+            for upper in (3, 4):
+                assert cis_upper(g, upper) == reference.cis_upper(g, upper)
+            assert cns_pairs(g) == reference.cns_pairs(g)
+            for solver, ref, bounds, signs in (
+                (cis_star_nonzero, reference.cis_star_nonzero, SizeBounds(2, 5), "nonzero"),
+                (cis_star_nonneg, reference.cis_star_nonneg, SizeBounds(3, 6), "nonneg"),
+            ):
+                g = random_game(rng, n, *values, **{signs: True})
+                k = n // ((bounds.lower + bounds.upper) // 2)
+                out = solver(g, bounds, k)
+                assert out is not None and out == ref(g, bounds, k)

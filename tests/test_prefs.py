@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sizedhedonic import (
     Partition,
@@ -12,7 +14,9 @@ from sizedhedonic import (
     utility,
 )
 from sizedhedonic.model import Game
+from sizedhedonic.prefs import favorite, ranking
 
+import solver_reference as reference
 from conftest import random_game
 
 
@@ -121,3 +125,55 @@ class TestFriendsEnemies:
             for a in sources:
                 union |= friends(g, a, pool)
             assert friends(g, sources, pool) == union
+
+
+@st.composite
+def selector_cases(draw):
+    """A game valued in -2..2 (ties everywhere), an agent, a pool, a source
+    set and a count.  Pools and sources repeat ids and may hold the agent;
+    counts run from below zero to past the pool's size."""
+    n = draw(st.integers(1, 8))
+    agents = st.integers(1, n)
+    cells = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    values = draw(st.lists(st.integers(-2, 2), min_size=len(cells), max_size=len(cells)))
+    game = Game(n, dict(zip(cells, values)))
+    agent = draw(agents)
+    pool = draw(st.lists(agents, max_size=2 * n))
+    who = draw(st.one_of(agents, st.lists(agents, max_size=n)))
+    k = draw(st.integers(-2, 2 * n + 2))
+    return game, agent, pool, who, k
+
+
+class TestSelectorsMatchTheReferences:
+    """The selectors against their straightforward reference copies."""
+
+    @given(selector_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_top_set(self, case):
+        game, agent, pool, _, k = case
+        expected = reference.top_set(game, agent, pool, k)
+        for given_pool in (pool, set(pool), iter(pool)):
+            assert top_set(game, agent, given_pool, k) == expected
+
+    @given(selector_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_ranking_and_favorite(self, case):
+        game, agent, pool, _, _ = case
+        ranked = ranking(game, agent, iter(pool))
+        assert len(ranked) == len(set(pool) - {agent})
+        for k in range(len(ranked) + 1):
+            assert sorted(ranked[:k]) == reference.top_set(game, agent, pool, k)
+        best = reference.top_set(game, agent, pool, 1)
+        assert favorite(game, agent, iter(pool)) == (best[0] if best else None)
+
+    @given(selector_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_friends_and_enemies(self, case):
+        game, _, pool, who, _ = case
+        for selector, ref in ((friends, reference.friends), (enemies, reference.enemies)):
+            expected = ref(game, who, pool)
+            assert selector(game, who, pool) == expected
+            assert selector(game, who, iter(pool)) == expected
+            if not isinstance(who, int):
+                assert selector(game, iter(who), iter(pool)) == expected
+                assert selector(game, set(who), pool) == expected
