@@ -51,7 +51,7 @@ class Game:
     ``False`` are accepted as the integers 1 and 0 they equal as dict keys.
     """
 
-    __slots__ = ("n", "symmetric", "_v")
+    __slots__ = ("n", "symmetric", "_v", "_nonzero", "_nonnegative")
 
     def __init__(
         self,
@@ -89,6 +89,7 @@ class Game:
         if symmetric and (pair := _asymmetric_pair(table)):
             raise ValueError("declared symmetric but v_{0}({1}) != v_{1}({0})".format(*pair))
         self._v = table
+        self._nonzero = self._nonnegative = None  # unknown until first asked
 
     @classmethod
     def _from_table(cls, n: int, table: list[list[int]], symmetric: bool) -> Game:
@@ -104,6 +105,7 @@ class Game:
         game.n = n
         game.symmetric = symmetric
         game._v = table
+        game._nonzero = game._nonnegative = None
         return game
 
     @property
@@ -143,12 +145,20 @@ class Game:
         return self.symmetric or _asymmetric_pair(self._v) is None
 
     def is_nonzero(self) -> bool:
-        """True iff every valuation between distinct agents is nonzero."""
-        # each row holds exactly two zeros of its own: column 0 and the diagonal
-        return all(self._v[a].count(0) == 2 for a in range(1, self.n + 1))
+        """True iff every valuation between distinct agents is nonzero.
+
+        The table is scanned on the first call only; a game is immutable.
+        """
+        if self._nonzero is None:
+            # each row holds exactly two zeros of its own: column 0 and the diagonal
+            self._nonzero = all(self._v[a].count(0) == 2 for a in range(1, self.n + 1))
+        return self._nonzero
 
     def is_nonnegative(self) -> bool:
-        return all(min(self._v[a]) >= 0 for a in range(1, self.n + 1))
+        """True iff no valuation is negative; scanned on the first call only."""
+        if self._nonnegative is None:
+            self._nonnegative = all(min(self._v[a]) >= 0 for a in range(1, self.n + 1))
+        return self._nonnegative
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Game):

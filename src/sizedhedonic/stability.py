@@ -18,10 +18,14 @@ zero never vetoes.
 
 The abandoned-coalition veto depends only on the mover, never on the target,
 so ``verify`` decides it once per agent and skips a held-back mover whole.
+So does the mover's utility u_a(source): ``verify`` computes it once per
+agent, and each move then costs one C-level sum of the mover's row over its
+target, plus the joined veto where the concept has one.
 
 The rules come in two forms, both stated here.  The move-level form
 (``_scan``, ``_abandoned_veto``, ``_joined_veto`` and ``blocking_check``)
-judges one deviation from a partition; ``verify`` and the dynamics use it.
+judges one deviation from a partition; ``verify`` and the dynamics use it,
+``verify`` with the mover's utility hoisted out of its moves.
 The coalition-level form (``_coalition_rules``) judges whole coalitions
 before any partition holds them, for the search of
 ``exact.exists_stable``: can a member of one coalition block by joining
@@ -307,7 +311,10 @@ def verify(
     feasible variants) the veto depends on the mover alone, so it is decided
     once per agent: a mover held back by its source coalition costs one pass
     over that coalition, and its moves are counted in ``checked_deviations``
-    without being built.  Every other move costs one ``blocking_check``.
+    without being built.  Every other mover's utility u_a(source) is computed
+    once, and each of its moves costs one C-level sum of the mover's row over
+    the target, plus the joined veto where the concept has one; a move blocks
+    exactly when ``blocking_check`` says so.
     """
     if partition.n != game.n:
         raise ValueError(f"partition covers {partition.n} agents, game has {game.n}")
@@ -316,14 +323,22 @@ def verify(
             f"partition sizes {partition.sizes()} violate bounds {bounds}"
         )
     checked = 0
-    vetoes = concept.abandoned_consent
+    vetoes, joined = concept.abandoned_consent, concept.joined_consent
+    coalitions = partition.coalitions
     for agent, source, count, moves in _scan(partition, bounds, concept.mode):
         if vetoes and _abandoned_veto(game, agent, source):
             checked += count  # every move of this agent is vetoed
             continue
+        value = game.row(agent).__getitem__
+        current = sum(map(value, source))  # row[agent] is 0
         for deviation in moves:
             checked += 1
-            if blocking_check(game, partition, deviation, concept):
+            target = deviation.target
+            members = () if target is None else coalitions[target]
+            # the move of blocking_check: a strict gain, then the joined veto
+            if sum(map(value, members)) > current and not (
+                joined and _joined_veto(game, agent, members)
+            ):
                 return StabilityReport(concept, False, deviation, checked)
     return StabilityReport(concept, True, None, checked)
 

@@ -115,6 +115,30 @@ class TestGame:
             assert g.is_nonnegative() == pairwise_nonnegative(g), g
         assert Game(0).is_nonzero() and Game(1).is_nonzero() and Game(1).is_nonnegative()
 
+    def test_kept_predicate_answers_leave_equality_and_hashing_alone(self):
+        # (valuations, is_nonzero, is_nonnegative); answered twice, so the
+        # second answer comes from what the first call kept
+        cases = [
+            ({(1, 2): 2, (2, 1): -1, (1, 3): 1, (3, 1): 3, (2, 3): -4, (3, 2): 1}, True, False),
+            ({(1, 2): 2, (2, 1): 1, (1, 3): 1, (3, 1): 3, (2, 3): 4}, False, True),
+            ({(1, 2): 2, (2, 1): 1, (1, 3): 1, (3, 1): 3, (2, 3): 4, (3, 2): 1}, True, True),
+        ]
+        for vals, nonzero, nonnegative in cases:
+            table = [[0] * 4 for _ in range(4)]
+            for (a, b), w in vals.items():
+                table[a][b] = w
+            builders = (
+                lambda: Game(3, vals),
+                lambda: Game._from_table(3, [row[:] for row in table], False),
+            )
+            for build in builders:
+                filled = build()
+                for _ in range(2):
+                    assert (filled.is_nonzero(), filled.is_nonnegative()) == (nonzero, nonnegative)
+                for fresh in (build() for build in builders):
+                    assert filled == fresh and fresh == filled
+                    assert hash(filled) == hash(fresh)
+                    assert len({filled, fresh}) == 1
 
     def test_equal_games_hash_equal_and_the_symmetric_flag_counts(self):
         table = {(1, 2): 4, (2, 1): 4, (3, 1): -2, (1, 3): -2}

@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -561,6 +562,51 @@ class TestVerifyAtScale:
             assert (label, True, True) in verdicts  # a contractual full scan
         assert ("random", True, False) in verdicts and ("random", False, False) in verdicts
         assert stranded and full_source and held_back
+
+
+class TestNsStarTrajectoriesAtScale:
+    """Whole NS* dynamics on symmetric games of 60 to 120 agents, step for step.
+
+    The reference takes each step's move from ``TestVerifyAtScale.reference``,
+    applies it with ``apply_deviation`` and measures the gain with
+    ``utility``.  Both ends of every trajectory are verified under all eight
+    concepts against the same reference.
+    """
+
+    BOUNDS = (SizeBounds(1, 4), SizeBounds(2, 5), SizeBounds(3, 6))
+
+    @staticmethod
+    def reference_steps(game, bounds, partition):
+        steps = []
+        ns_star = Concept.NS_STAR
+        while True:
+            stable, move, _ = TestVerifyAtScale.reference(game, partition, bounds, ns_star)
+            if stable:
+                return steps
+            before = utility(game, move.agent, partition.coalition_of(move.agent))
+            partition = apply_deviation(partition, move)
+            gain = utility(game, move.agent, partition.coalition_of(move.agent)) - before
+            steps.append((move, gain, partition))
+
+    def test_dynamics_match_the_reference_step_for_step(self):
+        from sizedhedonic import dynamics_steps
+
+        rng = random.Random(0x7A5)
+        for b in self.BOUNDS:
+            n = rng.randint(60, 120)
+            g = random_game(rng, n, -4, 4, symmetric=True)
+            start = random_feasible_partition(rng, n, b)
+            expected = self.reference_steps(g, b, start)
+            # one step past the reference's end: a wrong verify can make the
+            # dynamics cycle, which must fail here rather than hang
+            steps = list(islice(dynamics_steps(g, b, start), len(expected) + 1))
+            assert steps == expected, (n, b)
+            assert len(steps) > 20
+            for p in (start, steps[-1][2]):
+                for concept in ALL_CONCEPTS:
+                    report = verify(g, p, b, concept)
+                    got = (report.stable, report.witness, report.checked_deviations)
+                    assert got == TestVerifyAtScale.reference(g, p, b, concept), (n, b, concept)
 
 
 class TestCoalitionRules:
