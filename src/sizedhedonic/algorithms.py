@@ -308,7 +308,9 @@ def dynamics_steps(
     social welfare, so the dynamics end.  On other games the partitions
     visited are remembered, and a step that would return to one of them
     raises ``DynamicsCycleError`` (without yielding that step) instead of
-    running forever.
+    running forever.  A step whose deviator does not gain can only come of
+    a defect in ``verify``, and raises ``RuntimeError`` rather than letting
+    symmetric dynamics run on unguarded.
     """
     visited: dict[Partition, int] | None = None  # partition -> step index
     if not game.has_symmetric_table():
@@ -321,11 +323,13 @@ def dynamics_steps(
         agent = deviation.agent
         before = utility(game, agent, partition.coalition_of(agent))
         partition = apply_deviation(partition, deviation)
+        gain = utility(game, agent, partition.coalition_of(agent)) - before
+        if gain <= 0:  # every NS* witness gains
+            raise RuntimeError(f"verify returned a witness without gain: {deviation}")
         if visited is not None:
             if partition in visited:
                 raise DynamicsCycleError(tuple(visited)[visited[partition]:])
             visited[partition] = len(visited)
-        gain = utility(game, agent, partition.coalition_of(agent)) - before
         yield deviation, gain, partition
 
 

@@ -14,9 +14,10 @@ agents before it, and the unfit rest after it.  Each caller passes a prune
 hook that rejects a candidate or returns a value, which the search keeps
 beside the coalition on its stack.  The leaves a caller keeps become
 ``Partition`` objects through a trusted constructor, since the search
-builds them in canonical form.  The search alone counts steps, candidates
-tried or complete partitions reached, and raises ``BudgetExceededError``
-past its cap; ``EnumerationBudget`` says which step each oracle counts.
+builds them in canonical form; a leaf builds its agent index only when
+first asked.  The search alone counts steps, candidates tried or complete
+partitions reached, and raises ``BudgetExceededError`` past its cap;
+``EnumerationBudget`` says which step each oracle counts.
 
 ``enumerate_partitions`` prunes nothing else and yields every leaf.
 
@@ -64,6 +65,24 @@ larger.  No pruned branch holds a partition of strictly greater welfare, and
 the best is replaced only on strictly greater welfare, so the result is the
 first maximum-welfare partition in canonical order, as a full enumeration
 would find it.
+
+Both oracles work out each coalition's facts once per call: the search
+meets the same candidate under many prefixes, and what it needs of it
+depends on the coalition alone.  ``exists_stable`` keeps each candidate's
+mover record, or the mark that a member leaves it for a new singleton, in a
+dict; the pair tests against completed coalitions still run under every
+prefix.  ``max_welfare_partition`` keeps each candidate's internal welfare
+and the bitmask of its agents, and stacks the running welfare and the
+bitmask of the assigned agents beside each coalition.  That bitmask fixes
+the remainder, so the optimistic bound is kept per bitmask and the
+remainder's list is built only the first time.  A coalition comes up
+again only under another set of agents assigned before it, so neither
+oracle keeps a first coalition, which holds agent 1, nor a second one that
+closes the partition, which is the rest of the first.  A coalition memo
+holds at most one entry per distinct coalition the search admits: no more
+than the coalitions of sizes L..U, and for ``exists_stable`` no more than
+its step budget, which counts candidates.  The bound memo holds one entry
+per remainder reached.  Every memo lives as long as the call.
 """
 
 from __future__ import annotations
@@ -336,11 +355,20 @@ def exists_stable(
     lower, upper = bounds.lower, bounds.upper
     rows = [game.row(a) for a in range(game.n + 1)]
     movers, blocks_into, breaks_away, abandoned_vetoes, _ = _coalition_rules(game, bounds, concept)
+    records: dict[tuple[int, ...], list | None] = {}  # coalition -> mover record, or None
+    unknown = object()
 
     def admit(cand, avail, done):
         # the value kept beside a coalition is its mover record
-        record = movers(cand)
-        if breaks_away(record, cand):
+        again = len(done) > 1 or (len(done) == 1 and len(cand) < len(avail))
+        record = records.get(cand, unknown) if again else unknown
+        if record is unknown:
+            record = movers(cand)
+            if breaks_away(record, cand):
+                record = None
+            if again:  # only a coalition that can come up again is kept
+                records[cand] = record
+        if record is None:  # a member leaves it for a new singleton
             return None
         for other, other_record in done:
             if blocks_into(record, other) or blocks_into(other_record, cand):
@@ -398,10 +426,12 @@ def max_welfare_partition(
     for a in game.agents:
         row = rows[a]
         liked[a] = sorted(((row[b], b) for b in game.agents if row[b] > 0), reverse=True)
-    optimistic: dict[tuple[int, ...], int] = {}  # remaining agents -> bound
+    facts: dict[tuple[int, ...], tuple[int, int]] = {}  # coalition -> (welfare, agent bitmask)
+    optimistic: dict[int, int] = {}  # bitmask of the assigned agents -> bound on the rest
+    bits = [1 << a for a in range(game.n + 1)]
     best_welfare = -math.inf
 
-    def bound(rest: tuple[int, ...]) -> int:
+    def bound(rest: list[int]) -> int:
         members = set(rest)
         total = 0
         for a in rest:
@@ -415,22 +445,34 @@ def max_welfare_partition(
         return total
 
     def admit(cand, avail, done):
-        # the value kept beside a coalition is the welfare of the stack up to it
-        welfare = done[-1][1] if done else 0
-        for a in cand:
-            # the diagonal of the table is 0: a sum over the whole coalition
-            welfare += sum(map(rows[a].__getitem__, cand))
+        # the value kept beside a coalition is the welfare of the stack up to
+        # it and the bitmask of the agents it has assigned
+        again = len(done) > 1 or (len(done) == 1 and len(cand) < len(avail))
+        fact = facts.get(cand) if again else None
+        if fact is None:
+            welfare = 0
+            for a in cand:
+                # the diagonal of the table is 0: a sum over the whole coalition
+                welfare += sum(map(rows[a].__getitem__, cand))
+            fact = welfare, sum(map(bits.__getitem__, cand))
+            if again:
+                facts[cand] = fact
+        welfare, assigned = fact
+        if done:
+            below, assigned_below = done[-1][1]
+            welfare += below
+            assigned |= assigned_below
         if len(cand) == len(avail):
-            return welfare if welfare > best_welfare else None
-        rest = tuple(a for a in avail if a not in cand)
-        cap = optimistic.get(rest)
+            return (welfare, assigned) if welfare > best_welfare else None
+        cap = optimistic.get(assigned)
         if cap is None:
-            cap = optimistic[rest] = bound(rest)
-        return welfare if welfare + cap > best_welfare else None
+            # the assigned agents fix the remainder
+            cap = optimistic[assigned] = bound([a for a in avail if a not in cand])
+        return (welfare, assigned) if welfare + cap > best_welfare else None
 
     best = None
     twins = _twin_below(rows, game.n)
     for chosen in _search(game.n, bounds, admit, twins, max_leaves=budget.max_partitions):
         best = _coalitions(chosen)
-        best_welfare = chosen[-1][1] if chosen else 0
+        best_welfare = chosen[-1][1][0] if chosen else 0
     return None if best is None else Partition._from_canonical(best)

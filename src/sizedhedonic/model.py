@@ -2,7 +2,10 @@
 
 Agents are dense integer ids 1..n.  Valuations are integers, so every
 utility comparison in the package is exact.  All types are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads.  One write happens later: a
+partition built by the exhaustive search's trusted constructor builds its
+agent index on its first lookup.  Two threads that race there each build
+the same dict, and either one may be kept.
 """
 
 from __future__ import annotations
@@ -258,20 +261,32 @@ class Partition:
         ``coalitions`` must be nonempty ascending tuples, ordered by their
         first member, that cover the agents 1..n once each; none of this is
         checked again.  For searches that reach their partitions in
-        canonical order.
+        canonical order, and keep or look into few of them: the agent index
+        is left unbuilt until ``index_of`` or ``coalition_of`` first needs it.
         """
         partition = cls.__new__(cls)
         partition.coalitions = tuple(coalitions)
-        partition._index = {a: i for i, c in enumerate(coalitions) for a in c}
-        partition.n = len(partition._index)
+        partition.n = sum(map(len, coalitions))
+        partition._index = None
         return partition
 
     def coalition_of(self, agent: int) -> tuple[int, ...]:
-        return self.coalitions[self._index[agent]]
+        index = self._index
+        if index is None:
+            index = self._built_index()
+        return self.coalitions[index[agent]]
 
     def index_of(self, agent: int) -> int:
         """Canonical index of the coalition containing ``agent``."""
-        return self._index[agent]
+        index = self._index
+        if index is None:
+            index = self._built_index()
+        return index[agent]
+
+    def _built_index(self) -> dict[int, int]:
+        # a trusted leaf that nobody has looked into yet
+        index = self._index = {a: i for i, c in enumerate(self.coalitions) for a in c}
+        return index
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.coalitions)

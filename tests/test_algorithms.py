@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 
@@ -29,7 +30,8 @@ from sizedhedonic import (
     symmetric_dynamics,
     verify,
 )
-from sizedhedonic.stability import apply_deviation
+from sizedhedonic import algorithms
+from sizedhedonic.stability import Deviation, StabilityReport, apply_deviation
 from sizedhedonic.model import Game
 
 import solver_reference as reference
@@ -346,6 +348,18 @@ class TestDynamicsThatMove:
         steps = list(dynamics_steps(self.GAME, b, init))
         assert [(d.agent, d.target, gain) for d, gain, _ in steps] == [(1, 1, 3), (3, 2, 2)]
         assert (steps[-1][2], len(steps)) == result
+
+    def test_a_step_without_gain_fails_rather_than_loops(self, monkeypatch):
+        # agent 5 leaving its singleton for a new one gains nothing and
+        # returns to the same partition; symmetric dynamics remember no
+        # visited partitions, so only the gain test stops them
+        def verify_without_gain(game, partition, bounds, concept):
+            return StabilityReport(concept, False, Deviation(5, None), 1)
+
+        monkeypatch.setattr(algorithms, "verify", verify_without_gain)
+        steps = dynamics_steps(self.GAME, SizeBounds(1, 3), singleton_partition(6))
+        with pytest.raises(RuntimeError, match="without gain"):
+            list(islice(steps, 3))
 
 
 def test_aziz_reference_absorbs_a_latecomer():

@@ -1,5 +1,7 @@
 import pytest
 
+import copy
+import pickle
 import random
 from itertools import combinations, islice
 
@@ -221,6 +223,34 @@ class TestHonestBudgets:
             max_welfare_partition(game, bounds, EnumerationBudget(max_partitions=steps - 1))
 
 
+class TestFactsOncePerSearch:
+    def test_each_admitted_coalition_gets_one_mover_record(self, monkeypatch):
+        admitted, recorded = [], []
+        rules, search = exact._coalition_rules, exact._search
+
+        def counting_rules(*args):
+            movers, *others = rules(*args)
+
+            def counting_movers(coalition):
+                recorded.append(coalition)
+                return movers(coalition)
+
+            return (counting_movers, *others)
+
+        def watched_search(n, bounds, admit, *args):
+            def watched_admit(cand, avail, chosen):
+                admitted.append(cand)
+                return admit(cand, avail, chosen)
+
+            return search(n, bounds, watched_admit, *args)
+
+        monkeypatch.setattr(exact, "_coalition_rules", counting_rules)
+        monkeypatch.setattr(exact, "_search", watched_search)
+        assert exists_stable(cycle_no_is_star(9), SizeBounds(2, 4), Concept.IS_STAR) is None
+        assert len(admitted) > len(set(admitted))  # the search meets coalitions again
+        assert recorded == list(dict.fromkeys(admitted))
+
+
 class TestTrustedLeaves:
     # the search's leaves skip ``Partition.__init__``; each must be the
     # partition that validated construction would give
@@ -233,6 +263,19 @@ class TestTrustedLeaves:
                         assert p == q and hash(p) == hash(q)
                         assert p.n == q.n == n
                         assert all(p.index_of(a) == q.index_of(a) for a in range(1, n + 1))
+                        assert all(p.coalition_of(a) == q.coalition_of(a) for a in range(1, n + 1))
+
+    def test_either_lookup_builds_the_index_first(self):
+        # a leaf builds its index on its first lookup, through either method
+        for n in range(1, 8):
+            for lo in range(1, n + 1):
+                bounds = SizeBounds(lo, n)
+                leaves = zip(enumerate_partitions(n, bounds), enumerate_partitions(n, bounds))
+                agents = range(1, n + 1)
+                for p, r in leaves:
+                    q = Partition(p.coalitions)
+                    assert [p.coalition_of(a) for a in agents] == [q.coalition_of(a) for a in agents]
+                    assert [r.index_of(a) for a in agents] == [q.index_of(a) for a in agents]
 
     def test_oracle_results_equal_their_validated_rebuilds(self, rng):
         for _ in range(40):
@@ -245,6 +288,19 @@ class TestTrustedLeaves:
                 q = Partition(p.coalitions)
                 assert p == q and hash(p) == hash(q) and p.n == q.n
                 assert all(p.index_of(a) == q.index_of(a) for a in range(1, n + 1))
+                assert all(p.coalition_of(a) == q.coalition_of(a) for a in range(1, n + 1))
+
+    @pytest.mark.parametrize("copy_of", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy])
+    def test_never_indexed_leaves_copy_whole(self, copy_of):
+        for p in enumerate_partitions(6, SizeBounds(1, 4)):
+            q, r = copy_of(p), Partition(p.coalitions)
+            assert q == p == r and hash(q) == hash(r) and q.n == r.n == 6
+            assert [q.coalition_of(a) for a in range(1, 7)] == [r.coalition_of(a) for a in range(1, 7)]
+
+    def test_empty_leaf_has_no_agents(self):
+        p = Partition._from_canonical([])
+        assert p.n == 0 and len(p) == 0 and p == Partition([])
+        assert next(enumerate_partitions(0, SizeBounds(1, 1))).n == 0
 
 
 def first_stable_by_filter(game, bounds):
