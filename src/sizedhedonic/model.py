@@ -273,19 +273,25 @@ class Partition:
     def coalition_of(self, agent: int) -> tuple[int, ...]:
         index = self._index
         if index is None:
-            index = self._built_index()
+            index = self._agent_index()
         return self.coalitions[index[agent]]
 
     def index_of(self, agent: int) -> int:
         """Canonical index of the coalition containing ``agent``."""
         index = self._index
         if index is None:
-            index = self._built_index()
+            index = self._agent_index()
         return index[agent]
 
-    def _built_index(self) -> dict[int, int]:
-        # a trusted leaf that nobody has looked into yet
-        index = self._index = {a: i for i, c in enumerate(self.coalitions) for a in c}
+    def _agent_index(self) -> dict[int, int]:
+        """The dict from each agent to its coalition's canonical index.
+
+        For scans that look up many agents; do not mutate.  A trusted leaf
+        that nobody has looked into yet builds it here.
+        """
+        index = self._index
+        if index is None:
+            index = self._index = {a: i for i, c in enumerate(self.coalitions) for a in c}
         return index
 
     def sizes(self) -> tuple[int, ...]:
@@ -315,8 +321,12 @@ def singleton_partition(n: int) -> Partition:
 
 
 def is_feasible_partition(partition: Partition, bounds: SizeBounds) -> bool:
-    """True iff every coalition size lies within ``bounds``."""
-    return all(bounds.contains(len(c)) for c in partition)
+    """True iff every coalition size lies within ``bounds``.
+
+    The empty partition has no coalition, so it lies within every ``bounds``.
+    """
+    sizes = list(map(len, partition))
+    return not sizes or bounds.lower <= min(sizes) and max(sizes) <= bounds.upper
 
 
 def feasible_partition_exists(n: int, bounds: SizeBounds) -> bool:

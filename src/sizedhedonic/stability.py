@@ -17,15 +17,18 @@ coalition who would strictly lose.  An agent whose valuation of the mover is
 zero never vetoes.
 
 The abandoned-coalition veto depends only on the mover, never on the target,
-so ``verify`` decides it once per agent and skips a held-back mover whole.
-So does the mover's utility u_a(source): ``verify`` computes it once per
-agent, and each move then costs one C-level sum of the mover's row over its
-target, plus the joined veto where the concept has one.
+so ``verify`` decides it once per agent and skips a held-back mover whole:
+one early-exit loop over its source coalition, a list index per member,
+and none of its moves listed.  Nor does the mover's utility u_a(source)
+depend on the target: ``verify`` computes it once per agent, and each move
+then costs one C-level sum of the mover's row over its target, plus the
+joined veto where the concept has one.
 
 The rules come in two forms, both stated here.  The move-level form
-(``_scan``, ``_abandoned_veto``, ``_joined_veto`` and ``blocking_check``)
-judges one deviation from a partition; ``verify`` and the dynamics use it,
-``verify`` with the mover's utility hoisted out of its moves.
+(``_scan``, ``_moves``, ``_abandoned_veto``, ``_joined_veto`` and
+``blocking_check``) judges one deviation from a partition; ``verify`` and
+the dynamics use it, ``verify`` with the mover's utility hoisted out of its
+moves.
 The coalition-level form (``_coalition_rules``) judges whole coalitions
 before any partition holds them, for the search of
 ``exact.exists_stable``: can a member of one coalition block by joining
@@ -149,32 +152,40 @@ def candidate_deviations(
     """
     if mode not in (PERMISSIBLE, FEASIBLE):
         raise ValueError(f"unknown deviation mode {mode!r}")
-    return [move for _, _, _, moves in _scan(partition, bounds, mode) for move in moves]
+    scan = _scan(partition, bounds, mode)
+    return [move for agent, idx, _, targets in scan for move in _moves(agent, idx, targets)]
 
 
 def _scan(
     partition: Partition, bounds: SizeBounds, mode: str
-) -> Iterator[tuple[int, tuple[int, ...], int, Iterator[Deviation]]]:
-    """Per agent, in the order ``candidate_deviations`` states, its admissible moves.
+) -> Iterator[tuple[int, int, int, list[int | None]]]:
+    """Per agent, in the order ``candidate_deviations`` states, what its moves need.
 
-    Yields ``(agent, source, count, moves)``, where ``source`` is the agent's
-    coalition and ``moves`` builds its ``count`` deviations lazily, so a
-    caller can count them without building them.  An agent the feasible mode
-    strands is not yielded.
+    Yields ``(agent, source_idx, count, targets)``: the canonical index of
+    the agent's coalition, the number of its admissible moves, and the
+    targets that ``_moves(agent, source_idx, targets)`` turns into those
+    moves.  So a caller can count an agent's moves, or skip them, without
+    building them.  An agent the feasible mode strands is not yielded.
     """
     lower, upper = bounds.lower, bounds.upper
-    open_targets = [idx for idx, c in enumerate(partition.coalitions) if len(c) < upper]
-    n_open = len(open_targets)
-    feasible = mode == FEASIBLE
+    sizes = list(map(len, partition.coalitions))
+    open_targets: list[int | None] = [idx for idx, size in enumerate(sizes) if size < upper]
+    # None, the new singleton, comes last, and only a lower bound of 1 lets one exist
+    with_singleton = open_targets + [None] if lower == 1 else open_targets
+    # the coalition sizes the feasible mode forbids a member to leave; a
+    # coalition of more than ``lower`` members strands nobody
+    stranding = []
+    if mode == FEASIBLE:
+        stranding = [size for size in range(lower + 1) if _strands(size, lower)]
+    index = partition._agent_index()
     for agent in range(1, partition.n + 1):
-        source_idx = partition.index_of(agent)
-        source = partition.coalitions[source_idx]
-        size = len(source)
-        if feasible and _strands(size, lower):
+        source_idx = index[agent]
+        size = sizes[source_idx]
+        if size in stranding:
             continue
-        singleton = lower == 1 and size > 1
-        count = n_open - (size < upper) + singleton  # own coalition is no target
-        yield agent, source, count, _moves(agent, source_idx, open_targets, singleton)
+        targets = with_singleton if size > 1 else open_targets
+        # the agent's own coalition is no target
+        yield agent, source_idx, len(targets) - (size < upper), targets
 
 
 def _strands(size: int, lower: int) -> bool:
@@ -185,15 +196,14 @@ def _strands(size: int, lower: int) -> bool:
     return size != 1 and size - 1 < lower
 
 
-def _moves(
-    agent: int, source_idx: int, open_targets: list[int], singleton: bool
-) -> Iterator[Deviation]:
-    """The moves of ``agent``: each open target but its own, then a new singleton."""
-    for idx in open_targets:
+def _moves(agent: int, source_idx: int, targets: list[int | None]) -> Iterator[Deviation]:
+    """The moves of ``agent``: one to each of ``targets`` but its own coalition.
+
+    A target of None is a new singleton.
+    """
+    for idx in targets:
         if idx != source_idx:
             yield Deviation(agent, idx)
-    if singleton:
-        yield Deviation(agent, None)
 
 
 def _abandoned_veto(game: Game, agent: int, source: tuple[int, ...]) -> bool:
@@ -202,7 +212,11 @@ def _abandoned_veto(game: Game, agent: int, source: tuple[int, ...]) -> bool:
     Under abandoned consent such a member would strictly lose by any move of
     ``agent``, whatever the target, and so vetoes them all.
     """
-    return any(game.row(b)[agent] > 0 for b in source)  # row(agent)[agent] is 0
+    rows = game._v  # rows[b] is game.row(b), and rows[agent][agent] is 0
+    for b in source:
+        if rows[b][agent] > 0:
+            return True
+    return False
 
 
 def _joined_veto(game: Game, agent: int, target: tuple[int, ...]) -> bool:
@@ -211,7 +225,11 @@ def _joined_veto(game: Game, agent: int, target: tuple[int, ...]) -> bool:
     Under joined consent such a member would strictly lose by the move, and
     so vetoes it.
     """
-    return any(game.row(b)[agent] < 0 for b in target)
+    rows = game._v  # rows[b] is game.row(b)
+    for b in target:
+        if rows[b][agent] < 0:
+            return True
+    return False
 
 
 def blocking_check(
@@ -309,9 +327,10 @@ def verify(
     builds each admissible deviation only when it comes to it and stops at
     the first blocking one.  Under abandoned consent (CNS, CIS and their
     feasible variants) the veto depends on the mover alone, so it is decided
-    once per agent: a mover held back by its source coalition costs one pass
-    over that coalition, and its moves are counted in ``checked_deviations``
-    without being built.  Every other mover's utility u_a(source) is computed
+    once per agent: a mover held back by its source coalition costs one
+    early-exit loop over that coalition, a list index per member, and its
+    moves are counted in ``checked_deviations`` without being listed or
+    built.  Every other mover's utility u_a(source) is computed
     once, and each of its moves costs one C-level sum of the mover's row over
     the target, plus the joined veto where the concept has one; a move blocks
     exactly when ``blocking_check`` says so.
@@ -325,13 +344,14 @@ def verify(
     checked = 0
     vetoes, joined = concept.abandoned_consent, concept.joined_consent
     coalitions = partition.coalitions
-    for agent, source, count, moves in _scan(partition, bounds, concept.mode):
+    for agent, source_idx, count, targets in _scan(partition, bounds, concept.mode):
+        source = coalitions[source_idx]
         if vetoes and _abandoned_veto(game, agent, source):
             checked += count  # every move of this agent is vetoed
             continue
         value = game.row(agent).__getitem__
         current = sum(map(value, source))  # row[agent] is 0
-        for deviation in moves:
+        for deviation in _moves(agent, source_idx, targets):
             checked += 1
             target = deviation.target
             members = () if target is None else coalitions[target]

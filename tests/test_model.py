@@ -185,6 +185,34 @@ class TestPartition:
         assert not is_feasible_partition(Partition([[1, 2, 3, 4], [5, 6]]), b)
         assert is_feasible_partition(singleton_partition(4), SizeBounds(1, 5))
 
+    @pytest.mark.parametrize("lower, upper", [(1, 1), (1, 4), (3, 3), (2, 7)])
+    def test_the_empty_partition_is_feasible_under_any_bounds(self, lower, upper):
+        assert is_feasible_partition(Partition([]), SizeBounds(lower, upper))
+        assert is_feasible_partition(singleton_partition(0), SizeBounds(lower, upper))
+
+    def test_all_singletons_at_lower_one(self):
+        for n in (1, 2, 7):
+            assert is_feasible_partition(singleton_partition(n), SizeBounds(1, 1))
+            assert is_feasible_partition(singleton_partition(n), SizeBounds(1, 3))
+            assert not is_feasible_partition(singleton_partition(n), SizeBounds(2, 3))
+
+    def test_sizes_on_either_bound_are_feasible(self):
+        b = SizeBounds(2, 4)
+        assert is_feasible_partition(Partition([[1, 2], [3, 4]]), b)  # all exactly lower
+        assert is_feasible_partition(Partition([[1, 2, 3, 4], [5, 6, 7, 8]]), b)  # all exactly upper
+        assert is_feasible_partition(Partition([[1, 2], [3, 4, 5, 6]]), b)
+        assert is_feasible_partition(Partition([[1, 2, 3]]), SizeBounds(3, 3))
+
+    def test_one_coalition_one_past_either_bound_is_infeasible(self):
+        b = SizeBounds(2, 4)
+        # every other coalition sits inside the bounds, so the one outlier decides
+        assert not is_feasible_partition(Partition([[1, 2], [3], [4, 5, 6, 7]]), b)
+        assert not is_feasible_partition(Partition([[1], [2, 3], [4, 5, 6, 7]]), b)
+        assert not is_feasible_partition(Partition([[1, 2], [3, 4, 5, 6, 7], [8, 9, 10]]), b)
+        assert not is_feasible_partition(Partition([[1, 2, 3, 4, 5], [6, 7]]), b)
+        assert not is_feasible_partition(Partition([[1, 2], [3, 4, 5, 6]]), SizeBounds(3, 4))
+        assert not is_feasible_partition(Partition([[1, 2, 3], [4, 5, 6, 7]]), SizeBounds(3, 3))
+
     @pytest.mark.parametrize(
         "coalitions, bad",
         [

@@ -475,6 +475,71 @@ class TestLazyScan:
                     unstable += 1
         assert stable > 100 and unstable > 100
 
+    @staticmethod
+    def count_move_lists(monkeypatch):
+        """Record the agent of every move list ``verify`` asks ``_moves`` for."""
+        from sizedhedonic import stability
+
+        listed = []
+        moves = stability._moves
+
+        def counting(agent, *args):
+            listed.append(agent)
+            return moves(agent, *args)
+
+        monkeypatch.setattr(stability, "_moves", counting)
+        return listed
+
+    @staticmethod
+    def visited_movers(game, partition, bounds, concept, report):
+        """The agents ``verify`` visits, in scan order, each with whether a veto holds it back.
+
+        It visits each agent up to the witness's (all of them on a stable
+        verdict) that the concept's mode lets leave its coalition.  Under
+        abandoned consent a visited agent is held back when another member
+        of its source values it positively.
+        """
+        last = game.n if report.stable else report.witness.agent
+        visited = []
+        for a in range(1, last + 1):
+            source = partition.coalition_of(a)
+            if concept.feasible_variant and 1 < len(source) <= bounds.lower:
+                continue  # leaving would strand the rest
+            held = concept.abandoned_consent and any(
+                game.value(b, a) > 0 for b in source if b != a
+            )
+            visited.append((a, held))
+        return visited
+
+    def test_move_lists_only_for_visited_movers_nobody_holds_back(self, monkeypatch, rng):
+        from sizedhedonic import cis_star_nonzero
+
+        cases = TestVerifyMatchesDefinitionalOracle.corpus(rng)
+        big = random.Random(402)
+        for b in (SizeBounds(1, 4), SizeBounds(2, 5), SizeBounds(3, 4)):
+            g = random_game(big, 150)
+            cases.append((g, b, random_feasible_partition(big, 150, b)))
+        g = random_game(big, 150, nonzero=True)
+        cases.append((g, SizeBounds(2, 5), cis_star_nonzero(g, SizeBounds(2, 5), 40)))
+        listed = self.count_move_lists(monkeypatch)
+        held_back = 0
+        for g, b, p in cases:
+            for concept in ALL_CONCEPTS:
+                listed.clear()
+                report = verify(g, p, b, concept)
+                visited = self.visited_movers(g, p, b, concept, report)
+                assert listed == [a for a, held in visited if not held], (g, b, p, concept)
+                held_back += sum(held for _, held in visited)
+        assert held_back > 1000
+
+    def test_the_empty_game_is_stable_with_no_deviation_checked(self):
+        from sizedhedonic import Game, StabilityReport
+
+        for b in (SizeBounds(1, 1), SizeBounds(2, 5)):
+            for concept in ALL_CONCEPTS:
+                report = verify(Game(0), Partition([]), b, concept)
+                assert report == StabilityReport(concept, True, None, 0)
+
     def test_unknown_mode_raises_at_the_call(self):
         g = random_game_fixed()
         p = Partition([[1, 2, 3], [4, 5]])
@@ -672,3 +737,33 @@ class TestCoalitionRules:
                     assert joined[a] == {
                         x for x in g.agents if concept.joined_consent and _joined_veto(g, a, (x,))
                     }
+
+
+class TestVetoPredicates:
+    """``_abandoned_veto`` and ``_joined_veto`` against their definitions, read
+    through ``Game.value`` alone, on seeded games of every valuation kind."""
+
+    def test_vetoes_match_their_definitions(self):
+        from sizedhedonic.stability import _abandoned_veto, _joined_veto
+
+        rng = random.Random(0x7E70)
+        seen = set()
+        for i in range(80):
+            kind = TestVerifyAtScale.KINDS[i % 4]
+            g = TestVerifyAtScale.game(rng, rng.randint(1, 9), kind)
+            for a in g.agents:
+                others = [b for b in g.agents if b != a]
+                groups = [rng.sample(others, rng.randint(1, len(others))) for _ in others[:5]]
+                # the empty group makes the new-singleton target and the
+                # mover's singleton source
+                for group in [[]] + groups:
+                    source = tuple(sorted(group + [a]))  # the mover is inside its source
+                    target = tuple(sorted(group))
+                    abandoned = any(g.value(b, a) > 0 for b in group)
+                    joined = any(g.value(b, a) < 0 for b in group)
+                    assert _abandoned_veto(g, a, source) is abandoned, (g, a, source)
+                    assert _joined_veto(g, a, target) is joined, (g, a, target)
+                    seen.add((kind, abandoned, joined))
+        for kind in TestVerifyAtScale.KINDS:
+            assert (kind, True, False) in seen and (kind, False, False) in seen
+            assert ((kind, True, True) in seen) == (kind != "nonneg")
