@@ -2,14 +2,17 @@
 
 Agents are dense integer ids 1..n.  Valuations are integers, so every
 utility comparison in the package is exact.  All types are immutable after
-construction and safe to share across threads.  One write happens later: a
-partition built by the exhaustive search's trusted constructor builds its
-agent index on its first lookup.  Two threads that race there each build
-the same dict, and either one may be kept.
+construction and safe to share across threads.  Two writes happen later,
+both idempotent: a partition works out its coalition sizes (with their
+least and largest) on the first call that needs them, and a partition built
+by the exhaustive search's trusted constructor builds its agent index on its
+first lookup.  Two threads that race at either write each compute the same
+value, and either one may be kept.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -211,7 +214,7 @@ class Partition:
     witnesses) refer to this canonical order.
     """
 
-    __slots__ = ("coalitions", "n", "_index")
+    __slots__ = ("coalitions", "n", "_index", "_size_facts")
 
     def __init__(self, coalitions: Iterable[Iterable[int]]) -> None:
         canon = []
@@ -253,6 +256,7 @@ class Partition:
         self.coalitions = tuple(canon)
         self.n = n
         self._index = index
+        self._size_facts = None
 
     @classmethod
     def _from_canonical(cls, coalitions: list[tuple[int, ...]]) -> Partition:
@@ -268,6 +272,7 @@ class Partition:
         partition.coalitions = tuple(coalitions)
         partition.n = sum(map(len, coalitions))
         partition._index = None
+        partition._size_facts = None
         return partition
 
     def coalition_of(self, agent: int) -> tuple[int, ...]:
@@ -294,8 +299,21 @@ class Partition:
             index = self._index = {a: i for i, c in enumerate(self.coalitions) for a in c}
         return index
 
+    def _sizes_low_high(self) -> tuple[tuple[int, ...], float, int]:
+        """The coalition sizes in canonical order, their least and their largest.
+
+        Worked out on the first call and kept; a partition is immutable.
+        With no coalition, the least size is infinite and the largest 0, so
+        the empty partition lies within every bounds.
+        """
+        facts = self._size_facts
+        if facts is None:
+            sizes = tuple(map(len, self.coalitions))
+            facts = self._size_facts = (sizes, min(sizes, default=math.inf), max(sizes, default=0))
+        return facts
+
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.coalitions)
+        return self._sizes_low_high()[0]
 
     def __iter__(self):
         return iter(self.coalitions)
@@ -325,8 +343,8 @@ def is_feasible_partition(partition: Partition, bounds: SizeBounds) -> bool:
 
     The empty partition has no coalition, so it lies within every ``bounds``.
     """
-    sizes = list(map(len, partition))
-    return not sizes or bounds.lower <= min(sizes) and max(sizes) <= bounds.upper
+    _, least, largest = partition._sizes_low_high()
+    return bounds.lower <= least and largest <= bounds.upper
 
 
 def feasible_partition_exists(n: int, bounds: SizeBounds) -> bool:

@@ -51,7 +51,16 @@ FEASIBLE = "feasible"
 
 
 class Concept(enum.Enum):
-    """The four consent regimes, each in a permissible and a feasible flavor."""
+    """The four consent regimes, each in a permissible and a feasible flavor.
+
+    Each member carries its flags as plain attributes, set once from its
+    value when the class is built: ``base`` is the value without its ``*``,
+    ``feasible_variant`` whether it has one, and ``mode`` the deviation
+    mode that follows (``FEASIBLE`` or ``PERMISSIBLE``).  ``joined_consent``
+    says whether members of the joined coalition may veto (the IS and CIS
+    families), ``abandoned_consent`` whether members of the abandoned
+    coalition may (the CNS and CIS families).
+    """
 
     NS = "ns"
     IS = "is"
@@ -62,27 +71,12 @@ class Concept(enum.Enum):
     CNS_STAR = "cns*"
     CIS_STAR = "cis*"
 
-    @property
-    def base(self) -> str:
-        return self.value.rstrip("*")
-
-    @property
-    def feasible_variant(self) -> bool:
-        return self.value.endswith("*")
-
-    @property
-    def mode(self) -> str:
-        return FEASIBLE if self.feasible_variant else PERMISSIBLE
-
-    @property
-    def joined_consent(self) -> bool:
-        """Members of the joined coalition may veto (IS and CIS families)."""
-        return self.base in ("is", "cis")
-
-    @property
-    def abandoned_consent(self) -> bool:
-        """Members of the abandoned coalition may veto (CNS and CIS families)."""
-        return self.base in ("cns", "cis")
+    def __init__(self, value: str) -> None:
+        self.base = value.rstrip("*")
+        self.feasible_variant = value.endswith("*")
+        self.mode = FEASIBLE if self.feasible_variant else PERMISSIBLE
+        self.joined_consent = self.base in ("is", "cis")
+        self.abandoned_consent = self.base in ("cns", "cis")
 
     @classmethod
     def parse(cls, text: str) -> "Concept":
@@ -168,7 +162,7 @@ def _scan(
     building them.  An agent the feasible mode strands is not yielded.
     """
     lower, upper = bounds.lower, bounds.upper
-    sizes = list(map(len, partition.coalitions))
+    sizes = partition.sizes()
     open_targets: list[int | None] = [idx for idx, size in enumerate(sizes) if size < upper]
     # None, the new singleton, comes last, and only a lower bound of 1 lets one exist
     with_singleton = open_targets + [None] if lower == 1 else open_targets

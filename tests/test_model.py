@@ -251,6 +251,35 @@ class TestPartition:
             Partition([[1], [True]])
 
 
+    def test_size_facts_match_their_definitions_under_alternating_bounds(self):
+        from sizedhedonic import enumerate_partitions
+
+        cycle = [SizeBounds(lo, hi) for lo, hi in [(1, 1), (2, 3), (1, 7), (3, 3), (2, 7), (1, 3)]]
+
+        def check(p, sizes_first):
+            # ask in either order, so that either query may be the first one
+            for _ in range(2):
+                for b in cycle:
+                    if sizes_first:
+                        assert p.sizes() == tuple(map(len, p.coalitions))
+                    defined = all(b.lower <= len(c) <= b.upper for c in p.coalitions)
+                    assert is_feasible_partition(p, b) is defined
+                    assert p.sizes() == tuple(map(len, p.coalitions))
+
+        built = [Partition([]), singleton_partition(0), singleton_partition(5),
+                 Partition([[4, 2], [3, 1], [5, 6, 7]]), Partition([[1, 2, 3, 4, 5, 6, 7, 8]])]
+        for p in built:
+            check(p, sizes_first=False)
+        assert [p.sizes() for p in built] == [(), (), (1,) * 5, (2, 2, 3), (8,)]
+        bell = [1, 1, 2, 5, 15, 52, 203, 877]
+        for n in range(8):
+            everything = SizeBounds(1, max(n, 1))
+            for sizes_first in (False, True):
+                leaves = list(enumerate_partitions(n, everything))
+                assert len(leaves) == bell[n]
+                for p in leaves:
+                    check(p, sizes_first)
+
     def test_never_equal_to_another_type(self):
         assert Partition([[1, 2]]) != ((1, 2),)
         assert not Partition([]) == ()

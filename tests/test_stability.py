@@ -36,6 +36,35 @@ def test_concept_roster():
         Concept.parse("core")
 
 
+class TestConcept:
+    # the definitions: ``*`` means the feasible mode, IS and CIS give the
+    # joined coalition consent, CNS and CIS the abandoned one
+    DEFINED = {
+        # value: (base, feasible, joined consent, abandoned consent, str)
+        "ns": ("ns", False, False, False, "NS"),
+        "is": ("is", False, True, False, "IS"),
+        "cns": ("cns", False, False, True, "CNS"),
+        "cis": ("cis", False, True, True, "CIS"),
+        "ns*": ("ns", True, False, False, "NS*"),
+        "is*": ("is", True, True, False, "IS*"),
+        "cns*": ("cns", True, False, True, "CNS*"),
+        "cis*": ("cis", True, True, True, "CIS*"),
+    }
+
+    def test_flags_follow_the_value(self):
+        assert {concept.value for concept in Concept} == set(self.DEFINED)
+        for concept in ALL_CONCEPTS:
+            base, feasible, joined, abandoned, text = self.DEFINED[concept.value]
+            assert concept.base == base
+            assert concept.feasible_variant is feasible
+            assert concept.mode == (FEASIBLE if feasible else PERMISSIBLE)
+            assert concept.joined_consent is joined
+            assert concept.abandoned_consent is abandoned
+            assert str(concept) == text
+            assert Concept.parse(str(concept)) is concept
+            assert Concept.parse(concept.value) is concept
+
+
 class TestCandidateDeviations:
     def test_all_pairs_with_lower_two_have_no_feasible_moves(self):
         g = intro_positive(3)
@@ -177,6 +206,44 @@ class TestVerify:
         g = intro_positive(3)
         with pytest.raises(InfeasiblePartitionError):
             verify(g, Partition([[1, 2, 3, 4], [5, 6]]), SizeBounds(2, 3), Concept.NS)
+
+    def test_the_bounds_error_names_the_sizes_and_the_bounds(self):
+        g = intro_positive(3)
+        pairs = [(1, 2), (3, 4), (5, 6)]
+        # a validated partition and a trusted leaf of the exhaustive search
+        for p in (Partition(pairs), Partition._from_canonical(pairs)):
+            for concept in ALL_CONCEPTS:
+                with pytest.raises(InfeasiblePartitionError) as raised:
+                    verify(g, p, SizeBounds(3, 3), concept)
+                assert str(raised.value) == "partition sizes (2, 2, 2) violate bounds 3:3"
+        mixed = Partition([[2, 3, 4], [1], [5, 6]])
+        with pytest.raises(InfeasiblePartitionError) as raised:
+            verify(g, mixed, SizeBounds(2, 3), Concept.CIS)
+        assert str(raised.value) == "partition sizes (1, 3, 2) violate bounds 2:3"
+
+    def test_a_partition_verified_again_reports_as_a_fresh_one(self, rng):
+        def outcome(game, partition, bounds, concept):
+            try:
+                return verify(game, partition, bounds, concept)
+            except InfeasiblePartitionError as exc:
+                return str(exc)
+
+        for trial in range(30):
+            n = rng.randint(1, 9)
+            g = random_game(rng, n)
+            b = random_feasible_bounds(rng, n)
+            p = random_feasible_partition(rng, n, b)
+            largest = max(p.sizes())
+            # the partition respects the first two pairs and violates the third
+            cycle = (b, SizeBounds(1, n), SizeBounds(largest + 1, largest + 1))
+            kept = Partition(p.coalitions) if trial % 2 else Partition._from_canonical(list(p))
+            for _ in range(2):
+                for concept in ALL_CONCEPTS:
+                    for bounds in cycle:
+                        fresh = Partition([list(c) for c in p.coalitions])
+                        expected = outcome(g, fresh, bounds, concept)
+                        assert outcome(g, kept, bounds, concept) == expected
+            assert isinstance(expected, str)
 
     def test_rejects_wrong_agent_count(self):
         g = intro_positive(2)
