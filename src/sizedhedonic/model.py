@@ -5,9 +5,10 @@ utility comparison in the package is exact.  All types are immutable after
 construction and safe to share across threads.  Two writes happen later,
 both idempotent: a partition works out its coalition sizes (with their
 least and largest) on the first call that needs them, and a partition built
-by the exhaustive search's trusted constructor builds its agent index on its
-first lookup.  Two threads that race at either write each compute the same
-value, and either one may be kept.
+by the trusted constructor (the exhaustive search's leaves, and each result
+of ``stability.apply_deviation``) builds its agent index on its first
+lookup.  Two threads that race at either write each compute the same value,
+and either one may be kept.
 """
 
 from __future__ import annotations
@@ -265,8 +266,10 @@ class Partition:
         ``coalitions`` must be nonempty ascending tuples, ordered by their
         first member, that cover the agents 1..n once each; none of this is
         checked again.  For searches that reach their partitions in
-        canonical order, and keep or look into few of them: the agent index
-        is left unbuilt until ``index_of`` or ``coalition_of`` first needs it.
+        canonical order, and keep or look into few of them, and for
+        ``stability.apply_deviation``, which moves one agent of a canonical
+        partition: the agent index is left unbuilt until ``index_of`` or
+        ``coalition_of`` first needs it.
         """
         partition = cls.__new__(cls)
         partition.coalitions = tuple(coalitions)

@@ -11,6 +11,7 @@ from sizedhedonic import (
     InfeasiblePartitionError,
     Partition,
     SizeBounds,
+    StabilityReport,
     apply_deviation,
     blocking_check,
     candidate_deviations,
@@ -834,3 +835,205 @@ class TestVetoPredicates:
         for kind in TestVerifyAtScale.KINDS:
             assert (kind, True, False) in seen and (kind, False, False) in seen
             assert ((kind, True, True) in seen) == (kind != "nonneg")
+
+
+class TestRecordSemantics:
+    """``Deviation`` and ``StabilityReport`` behave as frozen dataclasses."""
+
+    RECORDS = [
+        (Deviation, ("agent", "target"), (3, None), "Deviation(agent=3, target=None)"),
+        (Deviation, ("agent", "target"), (1, 2), "Deviation(agent=1, target=2)"),
+        (
+            StabilityReport,
+            ("concept", "stable", "witness", "checked_deviations"),
+            (Concept.CIS, False, Deviation(1, 2), 7),
+            "StabilityReport(concept=<Concept.CIS: 'cis'>, stable=False, "
+            "witness=Deviation(agent=1, target=2), checked_deviations=7)",
+        ),
+        (
+            StabilityReport,
+            ("concept", "stable", "witness", "checked_deviations"),
+            (Concept.NS_STAR, True, None, 0),
+            "StabilityReport(concept=<Concept.NS_STAR: 'ns*'>, stable=True, "
+            "witness=None, checked_deviations=0)",
+        ),
+    ]
+    params = pytest.mark.parametrize("cls, names, values, text", RECORDS)
+
+    @params
+    def test_fields_asdict_and_replace(self, cls, names, values, text):
+        import dataclasses
+
+        record = cls(*values)
+        assert dataclasses.is_dataclass(record)
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
+        assert cls.__match_args__ == names
+        expected = {
+            name: {"agent": v.agent, "target": v.target} if isinstance(v, Deviation) else v
+            for name, v in zip(names, values)
+        }
+        assert dataclasses.asdict(record) == expected
+        for name, value in zip(names, values):
+            changed = dataclasses.replace(record, **{name: "new"})
+            assert type(changed) is cls
+            assert getattr(changed, name) == "new"
+            assert all(getattr(changed, other) == getattr(record, other)
+                       for other in names if other != name)
+            assert getattr(record, name) == value  # the original is untouched
+
+    @params
+    def test_positional_and_keyword_construction(self, cls, names, values, text):
+        by_position = cls(*values)
+        by_keyword = cls(**dict(zip(names, values)))
+        assert by_position == by_keyword
+        assert tuple(getattr(by_keyword, name) for name in names) == values
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+        with pytest.raises(TypeError):
+            cls(*values, None)
+        with pytest.raises(TypeError):
+            cls(*values[:-1], **{names[-1]: values[-1], names[0]: values[0]})
+
+    @params
+    def test_equality_hash_and_repr(self, cls, names, values, text):
+        record = cls(*values)
+        assert record == cls(*values)
+        assert record != values and values != record
+        assert record != cls(*values[:-1], "other")
+        assert hash(record) == hash(values)
+        assert repr(record) == text
+        assert (Deviation(1, 2) == (1, 2)) is False
+
+    @params
+    def test_frozen(self, cls, names, values, text):
+        import dataclasses
+
+        record = cls(*values)
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+        assert tuple(getattr(record, name) for name in names) == values
+
+    @params
+    def test_pickle_and_copy_round_trips(self, cls, names, values, text):
+        import copy
+        import pickle
+
+        record = cls(*values)
+        copies = [copy.copy(record), copy.deepcopy(record)]
+        copies += [
+            pickle.loads(pickle.dumps(record, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for twin in copies:
+            assert type(twin) is cls
+            assert twin == record and hash(twin) == hash(record)
+            assert repr(twin) == text
+
+    def test_reports_of_verify_are_these_records(self):
+        g, b = intro_positive(3), SizeBounds(2, 3)
+        report = verify(g, Partition([[1, 2], [3, 4], [5, 6]]), b, Concept.CIS)
+        assert type(report) is StabilityReport and type(report.witness) is Deviation
+        rebuilt = StabilityReport(Concept.CIS, False, report.witness, report.checked_deviations)
+        assert report == rebuilt
+
+
+class TestTrustedApplyDeviation:
+    """``apply_deviation`` against the validating rebuild it replaced."""
+
+    @staticmethod
+    def rebuilt(partition, deviation):
+        """The partition after ``deviation``, rebuilt through ``Partition(...)``."""
+        coalitions = [list(c) for c in partition.coalitions]
+        coalitions[partition.index_of(deviation.agent)].remove(deviation.agent)
+        if deviation.target is None:
+            coalitions.append([deviation.agent])
+        else:
+            coalitions[deviation.target].append(deviation.agent)
+        return Partition(c for c in coalitions if c)
+
+    @classmethod
+    def check(cls, partition, deviation):
+        moved = apply_deviation(partition, deviation)
+        expected = cls.rebuilt(partition, deviation)
+        assert type(moved) is Partition
+        assert moved == expected and moved.coalitions == expected.coalitions
+        assert all(type(c) is tuple for c in moved.coalitions)
+        assert moved.n == expected.n == partition.n
+        assert moved.sizes() == expected.sizes()
+        assert hash(moved) == hash(expected)
+        assert repr(moved) == repr(expected)
+        agents = range(1, partition.n + 1)
+        assert list(map(moved.index_of, agents)) == list(map(expected.index_of, agents))
+        assert list(map(moved.coalition_of, agents)) == list(map(expected.coalition_of, agents))
+        assert {expected: "seen"}[moved] == "seen"
+        assert {moved: "seen"}[expected] == "seen"
+        return moved
+
+    def test_every_move_matches_the_validating_rebuild(self):
+        from sizedhedonic.model import Game
+
+        rng = random.Random(0xA991)
+        moves = 0
+        for n in range(1, 31):
+            for bounds in (SizeBounds(1, 3), SizeBounds(1, 4), SizeBounds(2, 5)):
+                if not feasible_partition_exists(n, bounds):
+                    continue
+                g = Game(n)  # the moves do not depend on the valuations
+                p = random_feasible_partition(rng, n, bounds)
+                for mode in (PERMISSIBLE, FEASIBLE):
+                    for deviation in candidate_deviations(g, p, bounds, mode):
+                        self.check(p, deviation)
+                        moves += 1
+                # every move at all: with 1:n each coalition but a full one is open
+                for deviation in candidate_deviations(g, p, SizeBounds(1, n), PERMISSIBLE):
+                    self.check(p, deviation)
+                    moves += 1
+        assert moves > 25_000
+
+    def test_chains_of_moves_match(self):
+        """Each result is applied to again, so a trusted partition is a source too."""
+        rng = random.Random(0xA992)
+        for n in (1, 2, 7, 30):
+            g = random_game(rng, n)
+            p = random_feasible_partition(rng, n, SizeBounds(1, 4))
+            for _ in range(60):
+                moves = candidate_deviations(g, p, SizeBounds(1, n), PERMISSIBLE)
+                if not moves:
+                    break
+                p = self.check(p, rng.choice(moves))
+
+    @pytest.mark.parametrize(
+        "coalitions, deviation, expected",
+        [
+            # a singleton source vanishes
+            ([[1, 2], [3]], Deviation(3, 0), [[1, 2, 3]]),
+            ([[1, 3], [2], [4]], Deviation(2, 2), [[1, 3], [2, 4]]),
+            # the move forms a new singleton
+            ([[1, 2, 3]], Deviation(2, None), [[1, 3], [2]]),
+            ([[1, 4], [2, 3]], Deviation(4, None), [[1], [2, 3], [4]]),
+            # the mover becomes the least member of its target
+            ([[1, 2], [3, 5], [4, 6]], Deviation(3, 2), [[1, 2], [3, 4, 6], [5]]),
+            ([[1, 5], [2, 4], [3]], Deviation(2, 2), [[1, 5], [2, 3], [4]]),
+            # the mover was the least member of its source
+            ([[1, 4], [2, 3]], Deviation(1, None), [[1], [2, 3], [4]]),
+            ([[1, 5], [2, 3], [4]], Deviation(1, 2), [[1, 4], [2, 3], [5]]),
+            # the target lies before the source
+            ([[1, 2], [3, 4]], Deviation(4, 0), [[1, 2, 4], [3]]),
+            # the target lies after the source
+            ([[1, 3], [2, 4]], Deviation(3, 1), [[1], [2, 3, 4]]),
+        ],
+    )
+    def test_edge_cases(self, coalitions, deviation, expected):
+        p = Partition(coalitions)
+        assert self.check(p, deviation) == Partition(expected)
+        assert p == Partition(coalitions)  # the parent is untouched
+
+    @pytest.mark.parametrize("agent", [True, 1.0])
+    def test_ids_that_only_equal_an_agent_are_rejected(self, agent):
+        p = Partition([[1, 2], [3]])
+        for target in (1, None):
+            with pytest.raises(ValueError, match=f"^agent ids must be integers, got {agent}$"):
+                apply_deviation(p, Deviation(agent, target))
