@@ -2,13 +2,18 @@
 
 Agents are dense integer ids 1..n.  Valuations are integers, so every
 utility comparison in the package is exact.  All types are immutable after
-construction and safe to share across threads.  Two writes happen later,
-both idempotent: a partition works out its coalition sizes (with their
-least and largest) on the first call that needs them, and a partition built
+construction and safe to share across threads.  A partition writes three
+private slots later.  Two of the writes are idempotent: a partition built
 by the trusted constructor (the exhaustive search's leaves, and each result
-of ``stability.apply_deviation``) builds its agent index on its first
-lookup.  Two threads that race at either write each compute the same value,
-and either one may be kept.
+of ``stability.apply_deviation``) works out its coalition sizes (with their
+least and largest) on the first call that needs them, and its agent index
+on its first lookup; ``Partition(...)`` sets both while it validates.  Two
+threads that race at either write each compute the same value, and either
+one may be kept.  The third is a lazy write that other bounds overwrite:
+the open-target record that ``stability``'s scans keep for the last size
+bounds asked.  Each scan reads the record once, makes and stores a new one
+if it was made for other bounds, and uses the record it read or made, so
+a race between two bounds costs a rebuild, never a wrong scan.
 """
 
 from __future__ import annotations
@@ -215,7 +220,7 @@ class Partition:
     witnesses) refer to this canonical order.
     """
 
-    __slots__ = ("coalitions", "n", "_index", "_size_facts")
+    __slots__ = ("coalitions", "n", "_index", "_size_facts", "_open_record")
 
     def __init__(self, coalitions: Iterable[Iterable[int]]) -> None:
         canon = []
@@ -240,7 +245,8 @@ class Partition:
         except TypeError:  # ids that do not compare, across coalitions
             _check_ids(a for c in canon for a in c)
             raise
-        n = sum(len(c) for c in canon)
+        sizes = tuple(map(len, canon))
+        n = sum(sizes)
         # one pass builds the index; the loops below run only to name what is wrong
         index = {a: i for i, c in enumerate(canon) for a in c}
         if len(index) != n:
@@ -257,7 +263,8 @@ class Partition:
         self.coalitions = tuple(canon)
         self.n = n
         self._index = index
-        self._size_facts = None
+        self._size_facts = (sizes, min(sizes, default=math.inf), max(sizes, default=0))
+        self._open_record = None
 
     @classmethod
     def _from_canonical(cls, coalitions: list[tuple[int, ...]]) -> Partition:
@@ -269,13 +276,13 @@ class Partition:
         canonical order, and keep or look into few of them, and for
         ``stability.apply_deviation``, which moves one agent of a canonical
         partition: the agent index is left unbuilt until ``index_of`` or
-        ``coalition_of`` first needs it.
+        ``coalition_of`` first needs it, and the sizes until a size query.
         """
         partition = cls.__new__(cls)
         partition.coalitions = tuple(coalitions)
         partition.n = sum(map(len, coalitions))
         partition._index = None
-        partition._size_facts = None
+        partition._size_facts = partition._open_record = None
         return partition
 
     def coalition_of(self, agent: int) -> tuple[int, ...]:
@@ -305,7 +312,8 @@ class Partition:
     def _sizes_low_high(self) -> tuple[tuple[int, ...], float, int]:
         """The coalition sizes in canonical order, their least and their largest.
 
-        Worked out on the first call and kept; a partition is immutable.
+        ``Partition(...)`` keeps them from its validation; a trusted
+        partition works them out on the first call and keeps them.
         With no coalition, the least size is infinite and the largest 0, so
         the empty partition lies within every bounds.
         """

@@ -30,11 +30,23 @@ Python 3.11 (0.41 and 0.62 µs through a generated frozen ``__init__``).
 ``apply_deviation`` edits the two coalitions a move touches and adopts the
 result through the trusted ``Partition._from_canonical``.
 
+What a scan needs before its first agent (``_plan``) is paid at three rates.
+Per partition: its coalition sizes with their least and largest, which
+``Partition(...)`` keeps from its validation and a trusted partition works
+out on its first scan, and its agent index.  Per bounds: the open-target
+record, which holds the indices of the coalitions below the upper bound,
+that list with the new singleton appended when the lower bound is 1, and
+the coalition sizes whose members the feasible mode may not move; the
+partition keeps it for the last bounds asked, so the eight concepts on one
+partition and bounds make it once.  Per call: the bounds check, two
+comparisons, and the walk over the agents, which ``verify`` makes in its
+own loop, with no generator and no record per agent.
+
 The rules come in two forms, both stated here.  The move-level form
 (``_scan``, ``_moves``, ``_abandoned_veto``, ``_joined_veto`` and
 ``blocking_check``) judges one deviation from a partition; ``verify`` and
-the dynamics use it, ``verify`` with the mover's utility hoisted out of its
-moves.
+the dynamics use it, ``verify`` with ``_scan``'s per-agent lines inline and
+the mover's utility hoisted out of its moves.
 The coalition-level form (``_coalition_rules``) judges whole coalitions
 before any partition holds them, for the search of
 ``exact.exists_stable``: can a member of one coalition block by joining
@@ -200,18 +212,10 @@ def _scan(
     targets that ``_moves(agent, source_idx, targets)`` turns into those
     moves.  So a caller can count an agent's moves, or skip them, without
     building them.  An agent the feasible mode strands is not yielded.
+    ``verify`` walks the agents with the same lines, inline.
     """
-    lower, upper = bounds.lower, bounds.upper
-    sizes = partition.sizes()
-    open_targets: list[int | None] = [idx for idx, size in enumerate(sizes) if size < upper]
-    # None, the new singleton, comes last, and only a lower bound of 1 lets one exist
-    with_singleton = open_targets + [None] if lower == 1 else open_targets
-    # the coalition sizes the feasible mode forbids a member to leave; a
-    # coalition of more than ``lower`` members strands nobody
-    stranding = []
-    if mode == FEASIBLE:
-        stranding = [size for size in range(lower + 1) if _strands(size, lower)]
-    index = partition._agent_index()
+    sizes, index, open_targets, with_singleton, stranding = _plan(partition, bounds, mode)
+    upper = bounds.upper
     for agent in range(1, partition.n + 1):
         source_idx = index[agent]
         size = sizes[source_idx]
@@ -220,6 +224,34 @@ def _scan(
         targets = with_singleton if size > 1 else open_targets
         # the agent's own coalition is no target
         yield agent, source_idx, len(targets) - (size < upper), targets
+
+
+def _plan(
+    partition: Partition, bounds: SizeBounds, mode: str
+) -> tuple[tuple[int, ...], dict[int, int], list[int | None], list[int | None], tuple[int, ...]]:
+    """What a scan of ``partition`` needs before its first agent.
+
+    Returns ``(sizes, index, open_targets, with_singleton, stranding)``:
+    the coalition sizes, the agent index, the indices of the coalitions
+    below the upper bound, that list with None (the new singleton) appended
+    when the lower bound is 1 (else the same list), and the coalition sizes
+    the feasible mode forbids a member to leave (empty in the permissible
+    mode).  The partition keeps the sizes and the index, and the two target
+    lists and the stranding sizes in its open-target record for the last
+    bounds asked: other bounds overwrite it.
+    """
+    lower, upper = bounds.lower, bounds.upper
+    sizes = partition._sizes_low_high()[0]
+    record = partition._open_record
+    if record is None or record[0] != lower or record[1] != upper:
+        open_targets: list[int | None] = [idx for idx, size in enumerate(sizes) if size < upper]
+        # None, the new singleton, comes last, and only a lower bound of 1 lets one exist
+        with_singleton = open_targets + [None] if lower == 1 else open_targets
+        # a coalition of more than ``lower`` members strands nobody
+        stranding = tuple(size for size in range(lower + 1) if _strands(size, lower))
+        record = partition._open_record = (lower, upper, open_targets, with_singleton, stranding)
+    stranding = record[4] if mode == FEASIBLE else ()
+    return sizes, partition._agent_index(), record[2], record[3], stranding
 
 
 def _strands(size: int, lower: int) -> bool:
@@ -375,15 +407,24 @@ def verify(
         raise InfeasiblePartitionError(
             f"partition sizes {partition.sizes()} violate bounds {bounds}"
         )
+    sizes, index, open_targets, with_singleton, stranding = _plan(partition, bounds, concept.mode)
+    upper = bounds.upper
     checked = 0
     vetoes, joined = concept.abandoned_consent, concept.joined_consent
     coalitions = partition.coalitions
-    for agent, source_idx, count, targets in _scan(partition, bounds, concept.mode):
+    rows = game._v  # rows[agent] is game.row(agent)
+    # the agents in the order of _scan, with its lines
+    for agent in range(1, partition.n + 1):
+        source_idx = index[agent]
+        size = sizes[source_idx]
+        if size in stranding:
+            continue
+        targets = with_singleton if size > 1 else open_targets
         source = coalitions[source_idx]
         if vetoes and _abandoned_veto(game, agent, source):
-            checked += count  # every move of this agent is vetoed
+            checked += len(targets) - (size < upper)  # every move of this agent is vetoed
             continue
-        value = game.row(agent).__getitem__
+        value = rows[agent].__getitem__
         current = sum(map(value, source))  # row[agent] is 0
         for deviation in _moves(agent, source_idx, targets):
             checked += 1
@@ -401,8 +442,9 @@ def apply_deviation(partition: Partition, deviation: Deviation) -> Partition:
     """The partition after performing ``deviation``.
 
     Raises ``ValueError`` when the agent is not in ``partition``, or the
-    target is the agent's own coalition or not a coalition index of it, or
-    the agent is no integer but only equals one (``True`` for agent 1).
+    target is not a coalition index of it (an ``int`` in range, or None) or
+    is the agent's own coalition, or the agent is no integer but only
+    equals one (``True`` for agent 1).
     The result is built from the parent's canonical tuples with the trusted
     constructor: the mover is sliced out of its source (a singleton source
     is dropped) and inserted in order into its target, or added as a new
@@ -415,10 +457,11 @@ def apply_deviation(partition: Partition, deviation: Deviation) -> Partition:
     except KeyError:
         raise ValueError(f"deviation agent {agent!r} is not in the partition") from None
     target = deviation.target
+    # an index that only equals an int (1.0, True) is no coalition index either
+    if target is not None and (type(target) is not int or not 0 <= target < len(partition)):
+        raise ValueError(f"deviation target {target!r} is not a coalition index")
     if target == source_idx:
         raise ValueError("deviation target equals the agent's current coalition")
-    if target is not None and not 0 <= target < len(partition):
-        raise ValueError(f"deviation target {target} is not a coalition index")
     if type(agent) is not int:
         _check_ids((agent,))
     coalitions = list(partition.coalitions)

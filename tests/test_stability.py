@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import islice
 
 import pytest
@@ -1037,3 +1038,68 @@ class TestTrustedApplyDeviation:
         for target in (1, None):
             with pytest.raises(ValueError, match=f"^agent ids must be integers, got {agent}$"):
                 apply_deviation(p, Deviation(agent, target))
+
+    @pytest.mark.parametrize("target", [1.0, "1", True, False])
+    def test_targets_that_are_no_int_are_named(self, target):
+        p = Partition([[1, 2], [3]])
+        message = f"^deviation target {re.escape(repr(target))} is not a coalition index$"
+        # agent 1 lives in coalition 0 and agent 3 in coalition 1, so True and
+        # False each equal the source of one of them
+        for agent in (1, 3):
+            with pytest.raises(ValueError, match=message):
+                apply_deviation(p, Deviation(agent, target))
+        assert apply_deviation(p, Deviation(1, 1)) == Partition([[1, 3], [2]])
+        assert apply_deviation(p, Deviation(3, 0)) == Partition([[1, 2, 3]])
+        assert apply_deviation(p, Deviation(1, None)) == Partition([[1], [2], [3]])
+        with pytest.raises(ValueError, match="^deviation target equals the agent's current"):
+            apply_deviation(p, Deviation(3, 1))
+
+
+class TestBoundsAskedInTurn:
+    """One partition verified under bounds that change from call to call.
+
+    A partition keeps what a scan needs for the last bounds asked, so each
+    report, error text and move list is compared with that of a freshly
+    built equal partition, which has kept nothing.
+    """
+
+    COALITIONS = [[1, 4], [2, 5, 9], [3, 7], [6, 8, 10]]
+    # (1, 3) and (2, 3) share their upper bound, (2, 3), (2, 4) and (2, 5)
+    # their lower; (1, 2), (3, 3), (3, 4) and (4, 5) are violated
+    TURNS = [(1, 3), (2, 3), (1, 3), (2, 4), (2, 3), (2, 5), (1, 2), (2, 3), (3, 3), (1, 3),
+             (2, 4), (3, 4), (2, 4), (1, 4), (4, 5), (1, 4), (2, 4), (2, 3)]
+
+    @staticmethod
+    def outcome(game, partition, bounds, concept):
+        try:
+            return verify(game, partition, bounds, concept)
+        except InfeasiblePartitionError as error:
+            return str(error)
+
+    @pytest.mark.parametrize("built", ["validating", "trusted", "moved"])
+    def test_reports_match_a_fresh_partition(self, built):
+        coalitions = sorted(tuple(sorted(c)) for c in self.COALITIONS)
+        if built == "validating":
+            p = Partition(self.COALITIONS)
+        elif built == "trusted":
+            p = Partition._from_canonical(coalitions)
+        else:  # apply_deviation adopts its result through the trusted constructor
+            p = apply_deviation(Partition([[1, 4, 10], [2, 5, 9], [3, 7], [6, 8]]),
+                                Deviation(10, 3))
+        assert p.coalitions == tuple(coalitions)
+        rng = random.Random(0xB0D5)
+        unstable = violated = 0
+        for _ in range(6):
+            g = random_game(rng, 10)
+            for turns in (self.TURNS, self.TURNS[::-1]):
+                for lower, upper in turns:
+                    b = SizeBounds(lower, upper)
+                    for concept in ALL_CONCEPTS:
+                        got = self.outcome(g, p, b, concept)
+                        assert got == self.outcome(g, Partition(coalitions), b, concept)
+                        unstable += isinstance(got, StabilityReport) and not got.stable
+                        violated += isinstance(got, str)
+                    for mode in (PERMISSIBLE, FEASIBLE):
+                        fresh = candidate_deviations(g, Partition(coalitions), b, mode)
+                        assert candidate_deviations(g, p, b, mode) == fresh
+        assert unstable > 100 and violated > 100
