@@ -9,11 +9,9 @@ of ``stability.apply_deviation``) works out its coalition sizes (with their
 least and largest) on the first call that needs them, and its agent index
 on its first lookup; ``Partition(...)`` sets both while it validates.  Two
 threads that race at either write each compute the same value, and either
-one may be kept.  The third is a lazy write that other bounds overwrite:
-the open-target record that ``stability``'s scans keep for the last size
-bounds asked.  Each scan reads the record once, makes and stores a new one
-if it was made for other bounds, and uses the record it read or made, so
-a race between two bounds costs a rebuild, never a wrong scan.
+one may be kept.  The third, the open-target record, belongs to
+``stability.verify``, whose module states what it holds and why a race
+between two size bounds that overwrite it costs a rebuild, never a wrong scan.
 """
 
 from __future__ import annotations
@@ -258,7 +256,7 @@ class Partition:
                     seen.add(a)
         if not set(map(type, index)) <= {int}:
             _check_ids(index)
-        if set(index) != set(range(1, n + 1)):
+        if index.keys() - range(1, n + 1):
             raise ValueError("coalitions must cover exactly the agents 1..n")
         self.coalitions = tuple(canon)
         self.n = n
@@ -286,17 +284,11 @@ class Partition:
         return partition
 
     def coalition_of(self, agent: int) -> tuple[int, ...]:
-        index = self._index
-        if index is None:
-            index = self._agent_index()
-        return self.coalitions[index[agent]]
+        return self.coalitions[self._agent_index()[agent]]
 
     def index_of(self, agent: int) -> int:
         """Canonical index of the coalition containing ``agent``."""
-        index = self._index
-        if index is None:
-            index = self._agent_index()
-        return index[agent]
+        return self._agent_index()[agent]
 
     def _agent_index(self) -> dict[int, int]:
         """The dict from each agent to its coalition's canonical index.

@@ -16,37 +16,46 @@ would strictly lose, contractual-style concepts to members of the abandoned
 coalition who would strictly lose.  An agent whose valuation of the mover is
 zero never vetoes.
 
-The abandoned-coalition veto depends only on the mover, never on the target,
-so ``verify`` decides it once per agent and skips a held-back mover whole:
-one early-exit loop over its source coalition, a list index per member,
-and none of its moves listed.  Nor does the mover's utility u_a(source)
-depend on the target: ``verify`` computes it once per agent, and each move
-then costs one C-level sum of the mover's row over its target, plus the
-joined veto where the concept has one.  Each checked move is still built as
-a ``Deviation``, and each call returns a ``StabilityReport``: frozen
-dataclasses with slots (no ``__dict__``, no weak references) whose
-``__init__`` writes the slots directly, about 0.24 and 0.37 µs a build on
-Python 3.11 (0.41 and 0.62 µs through a generated frozen ``__init__``).
-``apply_deviation`` edits the two coalitions a move touches and adopts the
-result through the trusted ``Partition._from_canonical``.
+What ``verify`` costs.  It walks the admissible deviations in the order of
+``candidate_deviations`` and stops at its witness.  Before its first agent
+it pays at three rates:
 
-What a scan needs before its first agent (``_plan``) is paid at three rates.
-Per partition: its coalition sizes with their least and largest, which
-``Partition(...)`` keeps from its validation and a trusted partition works
-out on its first scan, and its agent index.  Per bounds: the open-target
-record, which holds the indices of the coalitions below the upper bound,
-that list with the new singleton appended when the lower bound is 1, and
-the coalition sizes whose members the feasible mode may not move; the
-partition keeps it for the last bounds asked, so the eight concepts on one
-partition and bounds make it once.  Per call: the bounds check, two
-comparisons, and the walk over the agents, which ``verify`` makes in its
-own loop, with no generator and no record per agent.
+* per partition: the coalition sizes with their least and largest, which
+  ``Partition(...)`` keeps from its validation and a trusted partition
+  works out on its first scan, and the agent index;
+* per bounds: the open-target record, which holds the indices of the
+  coalitions below the upper bound, that list with the new singleton
+  appended when the lower bound is 1, and the coalition sizes whose members
+  the feasible mode may not move;
+* per call: the bounds check (two comparisons) and the loop over the agents.
+
+``verify`` alone reads and writes the record, in the partition's
+``_open_record`` slot, keyed on both bounds.  It keeps the record for the
+last bounds asked, so the eight concepts on one partition and bounds make
+it once, and other bounds overwrite it.  Each call reads the slot once and
+uses the record it read or made, so two threads asking different bounds
+cost each other a rebuild, never a wrong scan.
+
+In the loop, the abandoned-coalition veto depends only on the mover, never
+on the target, so ``verify`` decides it once per agent and skips a
+held-back mover whole: one early-exit loop over its source coalition, a
+list index per member, and its moves counted without being listed.  Nor
+does the mover's utility u_a(source) depend on the target: ``verify``
+computes it once per agent, and each move then costs one C-level sum of
+the mover's row over its target, plus the joined veto where the concept
+has one.  Each checked move is still built as a ``Deviation``, and each
+call returns a ``StabilityReport``: frozen dataclasses with slots whose
+``__init__`` writes the slots directly, about 0.24 and 0.37 µs a build on
+Python 3.11.  ``apply_deviation`` edits the two coalitions a move touches
+and adopts the result through the trusted ``Partition._from_canonical``.
 
 The rules come in two forms, both stated here.  The move-level form
-(``_scan``, ``_moves``, ``_abandoned_veto``, ``_joined_veto`` and
-``blocking_check``) judges one deviation from a partition; ``verify`` and
-the dynamics use it, ``verify`` with ``_scan``'s per-agent lines inline and
-the mover's utility hoisted out of its moves.
+(``_moves``, ``_abandoned_veto``, ``_joined_veto`` and ``blocking_check``)
+judges one deviation from a partition; ``verify`` and the dynamics use it,
+``verify`` with the mover's utility hoisted out of its moves.
+``candidate_deviations`` lists the admissible moves from the coalitions,
+the bounds and the strand rule alone, without the record, so tests can
+hold ``verify`` against it.
 The coalition-level form (``_coalition_rules``) judges whole coalitions
 before any partition holds them, for the search of
 ``exact.exists_stable``: can a member of one coalition block by joining
@@ -198,60 +207,19 @@ def candidate_deviations(
     """
     if mode not in (PERMISSIBLE, FEASIBLE):
         raise ValueError(f"unknown deviation mode {mode!r}")
-    scan = _scan(partition, bounds, mode)
-    return [move for agent, idx, _, targets in scan for move in _moves(agent, idx, targets)]
-
-
-def _scan(
-    partition: Partition, bounds: SizeBounds, mode: str
-) -> Iterator[tuple[int, int, int, list[int | None]]]:
-    """Per agent, in the order ``candidate_deviations`` states, what its moves need.
-
-    Yields ``(agent, source_idx, count, targets)``: the canonical index of
-    the agent's coalition, the number of its admissible moves, and the
-    targets that ``_moves(agent, source_idx, targets)`` turns into those
-    moves.  So a caller can count an agent's moves, or skip them, without
-    building them.  An agent the feasible mode strands is not yielded.
-    ``verify`` walks the agents with the same lines, inline.
-    """
-    sizes, index, open_targets, with_singleton, stranding = _plan(partition, bounds, mode)
-    upper = bounds.upper
-    for agent in range(1, partition.n + 1):
-        source_idx = index[agent]
-        size = sizes[source_idx]
-        if size in stranding:
+    lower = bounds.lower
+    coalitions = partition.coalitions
+    open_targets = [idx for idx, c in enumerate(coalitions) if len(c) < bounds.upper]
+    moves = []
+    for agent, source_idx in sorted((a, idx) for idx, c in enumerate(coalitions) for a in c):
+        size = len(coalitions[source_idx])
+        if mode == FEASIBLE and _strands(size, lower):
             continue
-        targets = with_singleton if size > 1 else open_targets
-        # the agent's own coalition is no target
-        yield agent, source_idx, len(targets) - (size < upper), targets
-
-
-def _plan(
-    partition: Partition, bounds: SizeBounds, mode: str
-) -> tuple[tuple[int, ...], dict[int, int], list[int | None], list[int | None], tuple[int, ...]]:
-    """What a scan of ``partition`` needs before its first agent.
-
-    Returns ``(sizes, index, open_targets, with_singleton, stranding)``:
-    the coalition sizes, the agent index, the indices of the coalitions
-    below the upper bound, that list with None (the new singleton) appended
-    when the lower bound is 1 (else the same list), and the coalition sizes
-    the feasible mode forbids a member to leave (empty in the permissible
-    mode).  The partition keeps the sizes and the index, and the two target
-    lists and the stranding sizes in its open-target record for the last
-    bounds asked: other bounds overwrite it.
-    """
-    lower, upper = bounds.lower, bounds.upper
-    sizes = partition._sizes_low_high()[0]
-    record = partition._open_record
-    if record is None or record[0] != lower or record[1] != upper:
-        open_targets: list[int | None] = [idx for idx, size in enumerate(sizes) if size < upper]
-        # None, the new singleton, comes last, and only a lower bound of 1 lets one exist
-        with_singleton = open_targets + [None] if lower == 1 else open_targets
-        # a coalition of more than ``lower`` members strands nobody
-        stranding = tuple(size for size in range(lower + 1) if _strands(size, lower))
-        record = partition._open_record = (lower, upper, open_targets, with_singleton, stranding)
-    stranding = record[4] if mode == FEASIBLE else ()
-    return sizes, partition._agent_index(), record[2], record[3], stranding
+        moves += [Deviation(agent, idx) for idx in open_targets if idx != source_idx]
+        # a new singleton needs a lower bound of 1, and a mover not already alone
+        if lower == 1 and size > 1:
+            moves.append(Deviation(agent, None))
+    return moves
 
 
 def _strands(size: int, lower: int) -> bool:
@@ -389,17 +357,12 @@ def verify(
     The partition must respect the bounds; stability concepts are only
     defined on bound-respecting partitions.  The witness, when present, is
     the minimum blocking deviation under the canonical scan order, so
-    identical inputs always produce identical reports.  The scan is lazy: it
-    builds each admissible deviation only when it comes to it and stops at
-    the first blocking one.  Under abandoned consent (CNS, CIS and their
-    feasible variants) the veto depends on the mover alone, so it is decided
-    once per agent: a mover held back by its source coalition costs one
-    early-exit loop over that coalition, a list index per member, and its
-    moves are counted in ``checked_deviations`` without being listed or
-    built.  Every other mover's utility u_a(source) is computed
-    once, and each of its moves costs one C-level sum of the mover's row over
-    the target, plus the joined veto where the concept has one; a move blocks
-    exactly when ``blocking_check`` says so.
+    identical inputs always produce identical reports.  ``checked_deviations``
+    counts the admissible moves up to and including the witness, or all of
+    them on a stable verdict, so an unstable report's witness is
+    ``candidate_deviations(...)[checked_deviations - 1]``.  A move blocks
+    exactly when ``blocking_check`` says so.  The module docstring states
+    what a call costs.
     """
     if partition.n != game.n:
         raise ValueError(f"partition covers {partition.n} agents, game has {game.n}")
@@ -407,13 +370,25 @@ def verify(
         raise InfeasiblePartitionError(
             f"partition sizes {partition.sizes()} violate bounds {bounds}"
         )
-    sizes, index, open_targets, with_singleton, stranding = _plan(partition, bounds, concept.mode)
-    upper = bounds.upper
+    lower, upper = bounds.lower, bounds.upper
+    sizes = partition._sizes_low_high()[0]
+    record = partition._open_record
+    if record is None or record[0] != lower or record[1] != upper:
+        open_targets: list[int | None] = [idx for idx, size in enumerate(sizes) if size < upper]
+        # None, the new singleton, comes last, and only a lower bound of 1 lets one exist
+        with_singleton = open_targets + [None] if lower == 1 else open_targets
+        # a coalition of more than ``lower`` members strands nobody
+        stranding = tuple(size for size in range(lower + 1) if _strands(size, lower))
+        record = partition._open_record = (lower, upper, open_targets, with_singleton, stranding)
+    _, _, open_targets, with_singleton, stranding = record
+    if not concept.feasible_variant:
+        stranding = ()
+    index = partition._agent_index()
     checked = 0
     vetoes, joined = concept.abandoned_consent, concept.joined_consent
     coalitions = partition.coalitions
     rows = game._v  # rows[agent] is game.row(agent)
-    # the agents in the order of _scan, with its lines
+    # the agents in the order of candidate_deviations
     for agent in range(1, partition.n + 1):
         source_idx = index[agent]
         size = sizes[source_idx]

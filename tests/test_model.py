@@ -179,6 +179,25 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition([[1, 1, 2]])  # duplicate inside
 
+    @pytest.mark.parametrize(
+        "coalitions",
+        [
+            [[1], [3]],  # gap at 2
+            [[1, 2], [4]],  # gap at 3
+            [[0, 1], [2]],  # agent 0
+            [[1, 2, 4]],  # agent n + 1
+            [[1], [2, 3], [5]],  # agent n + 2
+            [[-1, 1], [2]],  # a negative id
+        ],
+    )
+    def test_the_cover_error_is_named(self, coalitions):
+        with pytest.raises(ValueError, match=r"^coalitions must cover exactly the agents 1\.\.n$"):
+            Partition(coalitions)
+
+    def test_the_empty_partition_covers_no_agents(self):
+        p = Partition([])
+        assert (p.coalitions, p.n, p.sizes()) == ((), 0, ())
+
     def test_feasibility_check(self):
         b = SizeBounds(2, 3)
         assert is_feasible_partition(Partition([[1, 2], [3, 4, 5]]), b)

@@ -336,6 +336,45 @@ class TestAdmissibilityIsDefinitional:
                     assert (d in permissible) == b.contains(len(new_home))
                     assert (d in feasible) == is_feasible_partition(moved, b)
 
+    @staticmethod
+    def moves_by_definition(partition, bounds, mode):
+        """Every admissible move, in scan order: agent, target index, new singleton last."""
+        admissible = []
+        for agent in range(1, partition.n + 1):
+            source = partition.index_of(agent)
+            targets = [i for i in range(len(partition.coalitions)) if i != source]
+            if len(partition.coalitions[source]) > 1:
+                targets.append(None)
+            for target in targets:
+                d = Deviation(agent, target)
+                moved = apply_deviation(partition, d)
+                if mode == FEASIBLE:
+                    ok = all(bounds.contains(len(c)) for c in moved.coalitions)
+                else:
+                    ok = bounds.contains(len(moved.coalition_of(agent)))
+                if ok:
+                    admissible.append(d)
+        return admissible
+
+    def test_every_small_partition_in_scan_order(self):
+        from sizedhedonic import Game, enumerate_partitions
+
+        checked = 0
+        for n in range(7):
+            g = Game(n)  # valuations are irrelevant
+            for lower in range(1, max(n, 1) + 1):
+                for upper in range(lower, max(n, 1) + 1):
+                    b = SizeBounds(lower, upper)
+                    for leaf in enumerate_partitions(n, b):
+                        # a validated copy built from members in another order
+                        built = Partition(c[::-1] for c in reversed(leaf.coalitions))
+                        for mode in (PERMISSIBLE, FEASIBLE):
+                            expected = self.moves_by_definition(built, b, mode)
+                            for p in (leaf, built):
+                                assert candidate_deviations(g, p, b, mode) == expected, (p, b, mode)
+                            checked += 1
+        assert checked > 2000
+
 
 def test_apply_deviation_moves_and_cleans_up():
     p = Partition([[1, 2], [3]])
@@ -412,13 +451,18 @@ class TestVerifyMatchesDefinitionalOracle:
 
     @staticmethod
     def corpus(rng):
-        """Seeded games with n <= 7 and values -2..2, a third of them zero-heavy."""
+        """Seeded games with n <= 7 and values -2..2, a third of them zero-heavy.
+
+        Then, for each n <= 5, one game of each kind under every pair of
+        bounds with every leaf of ``enumerate_partitions``: trusted
+        partitions, which work out their size facts and agent index on
+        their first scan.
+        """
+        from sizedhedonic import enumerate_partitions
         from sizedhedonic.model import Game
 
-        cases = []
-        for i in range(150):
-            n = rng.randint(1, 7)
-            if i % 3 == 2:
+        def game(n, kind):
+            if kind == 2:
                 choices = (-2, -1, 0, 0, 0, 0, 0, 1, 2)
                 vals = {
                     (a, b): rng.choice(choices)
@@ -426,11 +470,22 @@ class TestVerifyMatchesDefinitionalOracle:
                     for b in range(1, n + 1)
                     if a != b
                 }
-                g = Game(n, vals)
-            else:
-                g = random_game(rng, n, low=-2, high=2, symmetric=i % 3 == 1)
+                return Game(n, vals)
+            return random_game(rng, n, low=-2, high=2, symmetric=kind == 1)
+
+        cases = []
+        for i in range(150):
+            n = rng.randint(1, 7)
+            g = game(n, i % 3)
             b = random_feasible_bounds(rng, n)
             cases.append((g, b, random_feasible_partition(rng, n, b)))
+        for n in range(1, 6):
+            for kind in range(3):
+                g = game(n, kind)
+                for lower in range(1, n + 1):
+                    for upper in range(lower, n + 1):
+                        b = SizeBounds(lower, upper)
+                        cases.extend((g, b, p) for p in enumerate_partitions(n, b))
         return cases
 
     def test_verify_matches_oracle(self, rng):
