@@ -203,8 +203,13 @@ def candidate_deviations(
     Scan order: agent id ascending, existing target coalitions by canonical
     index ascending, the new-singleton move last.  With a lower bound of 1
     the permissible and feasible lists coincide.  ``verify`` walks the same
-    sequence lazily and stops at its witness; this is the eager list.
+    sequence lazily and stops at its witness; this is the eager list.  It is
+    defined for any partition of the game's agents, within ``bounds`` or
+    not; a partition of another number of agents raises ``verify``'s
+    ``ValueError``.
     """
+    if partition.n != game.n:
+        raise ValueError(f"partition covers {partition.n} agents, game has {game.n}")
     if mode not in (PERMISSIBLE, FEASIBLE):
         raise ValueError(f"unknown deviation mode {mode!r}")
     lower = bounds.lower

@@ -14,6 +14,17 @@ Formats (blank lines are ignored everywhere; ids are 1-based):
 
 ``parse`` / ``serialize`` round-trip on canonical form.
 
+A malformed line raises ``ParseError`` with its line number, as
+``str.splitlines`` counts lines; an error about the text as a whole, such
+as an X3C set outside the ground set, has line 0.  Each line of the x3c,
+mmm and matching formats, and each ``v`` line of a game, is a record
+checked by one rule (``_record``): first its tag and field count, whose
+mismatch raises the line's usage text, then each field in turn, which must
+be an integer and is named in the error.  The game header, whose flag is
+optional, has its own check (``_game_header``).  A game, x3c or mmm text
+with no non-blank line raises ``empty input`` at line 1, naming the header
+it expected (``_head``).
+
 A canonical game file (ASCII, ``\n`` line breaks, the header on the first
 line with any whitespace between its tokens, and then only ``v i j w``
 lines, as ``serialize_game`` writes) is parsed in bulk, a few kilobytes at
@@ -40,10 +51,30 @@ class ParseError(ValueError):
 
 
 def _lines(text: str):
+    """The line number and whitespace-split tokens of each non-blank line."""
     for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line:
-            yield number, line.split()
+        tokens = raw.split()
+        if tokens:
+            yield number, tokens
+
+
+def _head(rows, tag: str) -> tuple[int, list[str]]:
+    """The first of ``rows`` (from ``_lines``), which must hold a ``tag`` header."""
+    for head in rows:
+        return head
+    raise ParseError(1, f"empty input, expected an {tag!r} header")
+
+
+def _record(number: int, tokens: list[str], tag: str, names, usage: str) -> tuple[int, ...]:
+    """The integer fields of the record ``tokens`` on line ``number``.
+
+    The record rule is the module docstring's: the tag must be ``tag`` and
+    there must be one field per entry of ``names``, else ``usage`` is
+    raised; each field not an integer is then named by its entry.
+    """
+    if tokens[0] != tag or len(tokens) != len(names) + 1:
+        raise ParseError(number, usage)
+    return tuple(map(_int, tokens[1:], repeat(number), names))
 
 
 def _int(token: str, number: int, what: str) -> int:
@@ -176,29 +207,21 @@ def _parse_game_lines(text: str) -> Game:
     pair (or, under ``symmetric``, either direction of a given pair) is
     rejected on the line that repeats it.
     """
-    rows = enumerate(text.splitlines(), start=1)
-    for number, raw in rows:
-        header = raw.split()
-        if header:
-            break
-    else:
-        raise ParseError(1, "empty input, expected an 'ashg' header")
+    rows = _lines(text)
+    number, header = _head(rows, "ashg")
     n, symmetric = _game_header(header, number)
     table = [[0] * (n + 1) for _ in range(n + 1)]
     seen = [bytearray(n + 1) for _ in range(n + 1)]
-    for number, raw in rows:
-        tokens = raw.split()
-        if len(tokens) != 4 or tokens[0] != "v":
-            if not tokens:
-                continue
-            raise ParseError(number, "expected 'v <i> <j> <w>'")
-        _, si, sj, sw = tokens
+    for number, tokens in rows:
+        # the fast path; a line that fails it is malformed, and _record raises its error
         try:
-            i, j, w = int(si), int(sj), int(sw)
+            tag, i, j, w = tokens
+            i, j, w = int(i), int(j), int(w)
         except ValueError:
-            i = _int(si, number, "agent id")
-            j = _int(sj, number, "agent id")
-            w = _int(sw, number, "valuation")
+            tag = None
+        if tag != "v":
+            names = ("agent id", "agent id", "valuation")
+            i, j, w = _record(number, tokens, "v", names, "expected 'v <i> <j> <w>'")
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(number, f"agent ids must lie in 1..{n}")
         if i == j:
@@ -240,19 +263,12 @@ def serialize_partition(partition: Partition) -> str:
 
 
 def parse_x3c(text: str) -> X3CInstance:
-    rows = list(_lines(text))
-    if not rows:
-        raise ParseError(1, "empty input, expected an 'x3c' header")
-    number, header = rows[0]
-    if header[0] != "x3c" or len(header) != 2:
-        raise ParseError(number, "expected header 'x3c <ground size>'")
-    ground = _int(header[1], number, "ground size")
-    sets = []
-    for number, tokens in rows[1:]:
-        if tokens[0] != "set" or len(tokens) != 4:
-            raise ParseError(number, "expected 'set <a> <b> <c>'")
-        sets.append(tuple(_int(tok, number, "element") for tok in tokens[1:]))
-    return _build(X3CInstance, ground, tuple(sets))
+    rows = _lines(text)
+    header = _head(rows, "x3c")
+    (ground,) = _record(*header, "x3c", ("ground size",), "expected header 'x3c <ground size>'")
+    usage = "expected 'set <a> <b> <c>'"
+    sets = tuple(_record(*row, "set", ("element",) * 3, usage) for row in rows)
+    return _build(X3CInstance, ground, sets)
 
 
 def serialize_x3c(instance: X3CInstance) -> str:
@@ -262,20 +278,12 @@ def serialize_x3c(instance: X3CInstance) -> str:
 
 
 def parse_mmm(text: str) -> MMMInstance:
-    rows = list(_lines(text))
-    if not rows:
-        raise ParseError(1, "empty input, expected an 'mmm' header")
-    number, header = rows[0]
-    if header[0] != "mmm" or len(header) != 3:
-        raise ParseError(number, "expected header 'mmm <n> <k>'")
-    n = _int(header[1], number, "side size")
-    k = _int(header[2], number, "budget")
-    edges = []
-    for number, tokens in rows[1:]:
-        if tokens[0] != "edge" or len(tokens) != 3:
-            raise ParseError(number, "expected 'edge <i> <j>'")
-        edges.append((_int(tokens[1], number, "vertex"), _int(tokens[2], number, "vertex")))
-    return _build(MMMInstance, n, k, tuple(edges))
+    rows = _lines(text)
+    header = _head(rows, "mmm")
+    n, k = _record(*header, "mmm", ("side size", "budget"), "expected header 'mmm <n> <k>'")
+    usage = "expected 'edge <i> <j>'"
+    edges = tuple(_record(*row, "edge", ("vertex", "vertex"), usage) for row in rows)
+    return _build(MMMInstance, n, k, edges)
 
 
 def serialize_mmm(instance: MMMInstance) -> str:
@@ -298,12 +306,8 @@ def serialize_cover(indices) -> str:
 
 
 def parse_matching(text: str) -> list[tuple[int, int]]:
-    edges = []
-    for number, tokens in _lines(text):
-        if tokens[0] != "match" or len(tokens) != 3:
-            raise ParseError(number, "expected 'match <i> <j>'")
-        edges.append((_int(tokens[1], number, "vertex"), _int(tokens[2], number, "vertex")))
-    return edges
+    usage = "expected 'match <i> <j>'"
+    return [_record(*row, "match", ("vertex", "vertex"), usage) for row in _lines(text)]
 
 
 def serialize_matching(edges) -> str:

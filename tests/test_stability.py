@@ -670,6 +670,17 @@ class TestLazyScan:
         with pytest.raises(ValueError, match="unknown deviation mode"):
             candidate_deviations(g, p, SizeBounds(1, 3), "nash")
 
+    def test_agent_count_mismatch_raises_as_verify_does(self):
+        from sizedhedonic import Game
+
+        p = Partition([[1, 2], [3]])
+        message = "partition covers 3 agents, game has 6"
+        with pytest.raises(ValueError) as listed:
+            candidate_deviations(Game(6), p, SizeBounds(1, 3), PERMISSIBLE)
+        with pytest.raises(ValueError) as verified:
+            verify(Game(6), p, SizeBounds(1, 3), ALL_CONCEPTS[0])
+        assert str(listed.value) == str(verified.value) == message
+
 
 class TestVerifyAtScale:
     """``verify`` against an eager reference on games of 60 to 240 agents.

@@ -239,6 +239,8 @@ GAME_PARSE_ERRORS = [
     ("ashg 2\r\nv 1 1 1\rv 1 3 1", 2, "an agent may not value itself"),
     ("ashg 2\rv 1 2 1\rv 1 3 1", 3, "agent ids must lie in 1..2"),
     ("ashg 2\u2028\nv 1 2 q", 3, "valuation must be an integer, got 'q'"),
+    ("ashg 2\nx 1 2 a\n", 2, "expected 'v <i> <j> <w>'"),
+    ("ashg 2\nv\t1\t2\tz\n", 2, "valuation must be an integer, got 'z'"),
 ]
 
 
@@ -246,6 +248,59 @@ GAME_PARSE_ERRORS = [
 def test_game_parse_error_text_and_line(text, line, message):
     with pytest.raises(ParseError) as info:
         parse_game(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {message}"
+
+
+# Every ParseError of the record formats (x3c, mmm, matching, and cover's
+# integer fields), pinned by its full text: per line, the tag and field count
+# come first, then each field in turn as a named integer.
+RECORD_PARSE_ERRORS = [
+    ("x3c", "", 1, "empty input, expected an 'x3c' header"),
+    ("x3c", "\n  \n\t\n", 1, "empty input, expected an 'x3c' header"),
+    ("x3c", "set 1 2 3\n", 1, "expected header 'x3c <ground size>'"),
+    ("x3c", "x3c\n", 1, "expected header 'x3c <ground size>'"),
+    ("x3c", "x3c 3 3\n", 1, "expected header 'x3c <ground size>'"),
+    ("x3c", "x3c six\n", 1, "ground size must be an integer, got 'six'"),
+    ("x3c", "\n\nx3c six\n", 3, "ground size must be an integer, got 'six'"),
+    ("x3c", "x3c 3\nedge 1 2 3\n", 2, "expected 'set <a> <b> <c>'"),
+    ("x3c", "x3c 3\nset 1 2\n", 2, "expected 'set <a> <b> <c>'"),
+    ("x3c", "x3c 3\nset 1 2 3 4\n", 2, "expected 'set <a> <b> <c>'"),
+    ("x3c", "x3c 3\nset 1 2 x 4\n", 2, "expected 'set <a> <b> <c>'"),
+    ("x3c", "x3c 3\nset a 2 3\n", 2, "element must be an integer, got 'a'"),
+    ("x3c", "x3c 3\nset 1 b 3\n", 2, "element must be an integer, got 'b'"),
+    ("x3c", "x3c 3\nset 1 2 c\n", 2, "element must be an integer, got 'c'"),
+    ("x3c", "x3c 3\nset a b c\n", 2, "element must be an integer, got 'a'"),
+    ("x3c", "x3c 3\nset 1 2 3\n\n\tset 1 2 q\n", 4, "element must be an integer, got 'q'"),
+    ("mmm", "", 1, "empty input, expected an 'mmm' header"),
+    ("mmm", "\n  \n\t\n", 1, "empty input, expected an 'mmm' header"),
+    ("mmm", "edge 2 1\n", 1, "expected header 'mmm <n> <k>'"),
+    ("mmm", "mmm 2\n", 1, "expected header 'mmm <n> <k>'"),
+    ("mmm", "mmm 2 1 0\n", 1, "expected header 'mmm <n> <k>'"),
+    ("mmm", "mmm a b\n", 1, "side size must be an integer, got 'a'"),
+    ("mmm", "mmm 2 b\n", 1, "budget must be an integer, got 'b'"),
+    ("mmm", "\n \nmmm 2 b\n", 3, "budget must be an integer, got 'b'"),
+    ("mmm", "mmm 2 1\nmatch 1 3\n", 2, "expected 'edge <i> <j>'"),
+    ("mmm", "mmm 2 1\nedge 1\n", 2, "expected 'edge <i> <j>'"),
+    ("mmm", "mmm 2 1\nedge 1 3 4\n", 2, "expected 'edge <i> <j>'"),
+    ("mmm", "mmm 2 1\nedge 1 x 4\n", 2, "expected 'edge <i> <j>'"),
+    ("mmm", "mmm 2 1\nedge x 3\n", 2, "vertex must be an integer, got 'x'"),
+    ("mmm", "mmm 2 1\nedge 1 y\n", 2, "vertex must be an integer, got 'y'"),
+    ("matching", "edge 1 3\n", 1, "expected 'match <i> <j>'"),
+    ("matching", "match 1\n", 1, "expected 'match <i> <j>'"),
+    ("matching", "match 1 2 3\n", 1, "expected 'match <i> <j>'"),
+    ("matching", "match x 3\n", 1, "vertex must be an integer, got 'x'"),
+    ("matching", "match 1 y\n", 1, "vertex must be an integer, got 'y'"),
+    ("matching", "match 1 3\n\nmatch 2 z\n", 3, "vertex must be an integer, got 'z'"),
+    ("cover", "coverage 1\n", 1, "expected 'cover <s1> <s2> ...'"),
+    ("cover", "cover 1 x\n", 1, "set index must be an integer, got 'x'"),
+]
+
+
+@pytest.mark.parametrize("kind, text, line, message", RECORD_PARSE_ERRORS)
+def test_record_parse_error_text_and_line(kind, text, line, message):
+    with pytest.raises(ParseError) as info:
+        parse(text, kind)
     assert info.value.line == line
     assert str(info.value) == f"line {line}: {message}"
 
