@@ -14,8 +14,9 @@ games whose stable partitions encode solutions:
 instance, the stable partition that the forward direction of each
 construction guarantees; verifying it is a polynomial check at any size.
 
-Agent ids are assigned in declaration order of the roles, so serialized
-games are reproducible; every agent's role is recorded in the result.
+Every agent id comes from ``_add_role``, the one id rule: each role label,
+in the order a builder declares it, takes the next dense id, so serialized
+games are reproducible, and every agent's label is recorded in the result.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Sequence
 
-from .model import Game, Partition, SizeBounds, greedy_feasible_partition
+from .model import Game, Partition, SizeBounds, feasibility_threshold, greedy_feasible_partition
 
 
 class InvalidCertificateError(ValueError):
@@ -106,58 +107,52 @@ def _add_role(roles: dict[int, str], label: str) -> int:
     return agent
 
 
+# The roles of x3c_to_cns's gadget, in id order (see its docstring).
+_GADGET = ("alpha", "beta", "gamma", "zeta")
+
+
 def x3c_to_cns(instance: X3CInstance, mu: int) -> ReducedGame:
     """Game whose CNS partitions under (1, mu) encode exact covers, mu >= 3.
 
-    One 4-agent gadget per ground element, six agents per (set, element)
-    pair; every pair of agents not mentioned by the construction values each
-    other -3, deep enough to drown any positive valuation (the largest being
-    the 2 that each companion agent assigns its set agent).
+    One 4-agent gadget per ground element and per (set, element) pair: its
+    roles alpha, beta and gamma form a 0-valued cycle and each values zeta
+    at 1, and a witness leaves the cycle's agents alone.  Each pair also has
+    a set agent ``a`` and its companion ``abar``.  Every pair of agents not
+    mentioned by the construction values each other -3, deep enough to
+    drown any positive valuation (the largest being the 2 that each
+    companion agent assigns its set agent).
     """
     if mu < 3:
         raise ValueError("construction needs an upper bound of at least 3")
     roles: dict[int, str] = {}
     add = partial(_add_role, roles)
-
     elements = range(1, instance.ground_size + 1)
-    alpha = {r: add(f"alpha[{r}]") for r in elements}
-    beta = {r: add(f"beta[{r}]") for r in elements}
-    gamma = {r: add(f"gamma[{r}]") for r in elements}
-    zeta = {r: add(f"zeta[{r}]") for r in elements}
-    a: dict[tuple[int, int], int] = {}
-    abar: dict[tuple[int, int], int] = {}
-    alpha_s: dict[tuple[int, int], int] = {}
-    beta_s: dict[tuple[int, int], int] = {}
-    gamma_s: dict[tuple[int, int], int] = {}
-    zeta_s: dict[tuple[int, int], int] = {}
-    for s, members in enumerate(instance.sets, start=1):
-        for r in members:
-            a[s, r] = add(f"a[{s}:{r}]")
-            abar[s, r] = add(f"abar[{s}:{r}]")
-            alpha_s[s, r] = add(f"alpha[{s}:{r}]")
-            beta_s[s, r] = add(f"beta[{s}:{r}]")
-            gamma_s[s, r] = add(f"gamma[{s}:{r}]")
-            zeta_s[s, r] = add(f"zeta[{s}:{r}]")
+    pairs = [(s, r) for s, members in enumerate(instance.sets, start=1) for r in members]
+    for role in _GADGET:
+        for r in elements:
+            add(f"{role}[{r}]")
+    for s, r in pairs:
+        for role in ("a", "abar", *_GADGET):
+            add(f"{role}[{s}:{r}]")
+    agent = {label: i for i, label in roles.items()}
 
     n = len(roles)
     vals = {(i, j): -3 for i in range(1, n + 1) for j in range(1, n + 1) if i != j}
-
-    def gadget(al: int, be: int, ga: int, ze: int) -> None:
+    for key in [*elements, *(f"{s}:{r}" for s, r in pairs)]:
+        al, be, ga, ze = (agent[f"{role}[{key}]"] for role in _GADGET)
         vals[(al, ze)] = vals[(be, ze)] = vals[(ga, ze)] = 1
         vals[(al, be)] = vals[(be, ga)] = vals[(ga, al)] = 0
-
-    for r in elements:
-        gadget(alpha[r], beta[r], gamma[r], zeta[r])
-    for s, members in enumerate(instance.sets, start=1):
-        for r in members:
-            gadget(alpha_s[s, r], beta_s[s, r], gamma_s[s, r], zeta_s[s, r])
-            vals[(a[s, r], zeta[r])] = vals[(zeta[r], a[s, r])] = 0
-            vals[(abar[s, r], zeta_s[s, r])] = vals[(zeta_s[s, r], abar[s, r])] = 0
-            vals[(abar[s, r], a[s, r])] = 2
-            for other in members:
-                if other != r:
-                    vals[(a[s, r], a[s, other])] = 0
-                    vals[(abar[s, r], a[s, other])] = -1
+    for s, r in pairs:
+        a, abar, zeta_s = (agent[f"{role}[{s}:{r}]"] for role in ("a", "abar", "zeta"))
+        zeta = agent[f"zeta[{r}]"]
+        vals[(a, zeta)] = vals[(zeta, a)] = 0
+        vals[(abar, zeta_s)] = vals[(zeta_s, abar)] = 0
+        vals[(abar, a)] = 2
+        for other in instance.sets[s - 1]:
+            if other != r:
+                mate = agent[f"a[{s}:{other}]"]
+                vals[(a, mate)] = 0
+                vals[(abar, mate)] = -1
 
     return ReducedGame(Game(n, vals), roles, "x3c_to_cns", instance, mu=mu)
 
@@ -174,13 +169,12 @@ def mmm_to_ns_is(instance: MMMInstance, mu: int) -> ReducedGame:
     if mu < 2:
         raise ValueError("construction needs an upper bound of at least 2")
     n, k = instance.n, instance.k
-    roles = {i: f"a[{i}]" for i in range(1, n + 1)}
-    roles.update({n + j: f"b[{j}]" for j in range(1, n + 1)})
-    x = {
-        (i, j): _add_role(roles, f"x[{i}:{j}]")
-        for i in range(1, n - k + 1)
-        for j in range(1, 6)
-    }
+    roles: dict[int, str] = {}
+    add = partial(_add_role, roles)
+    for side in "ab":  # so a[i] is agent i and b[j] is agent n + j
+        for i in range(1, n + 1):
+            add(f"{side}[{i}]")
+    x = {(i, j): add(f"x[{i}:{j}]") for i in range(1, n - k + 1) for j in range(1, 6)}
     total = len(roles)
     filler = -6 * n
     vals = {(i, j): filler for i in range(1, total + 1) for j in range(1, total + 1) if i != j}
@@ -227,7 +221,10 @@ def x3c_to_ns_bounded(instance: X3CInstance, bounds: SizeBounds) -> ReducedGame:
         for i in range(1, spare_sets + 1)
         for j in range(1, 4)
     }
-    dummy_count = -(-(lo - 1) // (hi - lo)) * hi + hi
+    # One more full coalition than the threshold's count of lower-bound
+    # coalitions: once hi - 1 dummies join the chaser, the rest still reach
+    # the threshold, so they split within bounds.
+    dummy_count = (feasibility_threshold(bounds) // lo + 1) * hi
     dummies = [add(f"d[{i}]") for i in range(1, dummy_count + 1)]
     chaser = add("alpha")
     n = len(roles)
@@ -325,23 +322,18 @@ def witness_partition(
 
 def _x3c_cns_witness(reduced: ReducedGame, cover: list[int]) -> Partition:
     inst: X3CInstance = reduced.source
+    agent = reduced.agent
+    cycle = _GADGET[:3]  # the roles a witness leaves alone
     chosen = set(cover)
-    coalitions: list[list[int]] = []
-    for r in range(1, inst.ground_size + 1):
-        coalitions += [[reduced.agent(f"alpha[{r}]")], [reduced.agent(f"beta[{r}]")],
-                       [reduced.agent(f"gamma[{r}]")]]
+    coalitions = [[agent(f"{role}[{r}]")] for r in range(1, inst.ground_size + 1) for role in cycle]
     for s, members in enumerate(inst.sets, start=1):
         if s in chosen:
-            for r in members:
-                coalitions.append([reduced.agent(f"a[{s}:{r}]"), reduced.agent(f"zeta[{r}]")])
+            coalitions += [[agent(f"a[{s}:{r}]"), agent(f"zeta[{r}]")] for r in members]
         else:
-            coalitions.append([reduced.agent(f"a[{s}:{r}]") for r in members])
+            coalitions.append([agent(f"a[{s}:{r}]") for r in members])
         for r in members:
-            coalitions.append(
-                [reduced.agent(f"abar[{s}:{r}]"), reduced.agent(f"zeta[{s}:{r}]")]
-            )
-            coalitions += [[reduced.agent(f"alpha[{s}:{r}]")], [reduced.agent(f"beta[{s}:{r}]")],
-                           [reduced.agent(f"gamma[{s}:{r}]")]]
+            coalitions.append([agent(f"abar[{s}:{r}]"), agent(f"zeta[{s}:{r}]")])
+            coalitions += [[agent(f"{role}[{s}:{r}]")] for role in cycle]
     return Partition(coalitions)
 
 
