@@ -8,6 +8,8 @@ malformed partition and ``--init`` files, every ``gen`` family, and
 sources (n <= 4) with ``--mu``, ``--bounds`` and valid and invalid
 ``--witness`` certificates.  Input files are written here as plain text, not
 by the package's serializers, so they do not move when the package does.
+No case reaches an argparse "invalid choice" error, whose wording differs
+between Python releases.
 
 A case runs in process with its own directory as the working directory, so
 its argv names files relative to that directory; any occurrence of the
