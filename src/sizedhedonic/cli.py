@@ -40,6 +40,10 @@ class _UsageError(Exception):
     pass
 
 
+class _Refusal(Exception):
+    """No algorithm applies or no partition fits: exit 2, message printed bare."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 3
         raise _UsageError(message)
@@ -103,58 +107,48 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-def _no_algorithm(message: str) -> int:
-    print(message, file=sys.stderr)
-    return 2
-
-
-def _no_partition(n: int, bounds: SizeBounds, k: int | None = None) -> int:
+def _no_partition(n: int, bounds: SizeBounds, k: int | None = None) -> _Refusal:
     into = "" if k is None else f" into {k} coalitions"
-    return _no_algorithm(f"no partition of {n} agents{into} within {bounds}")
+    return _Refusal(f"no partition of {n} agents{into} within {bounds}")
 
 
-def _greedy_start(game: Game, bounds: SizeBounds) -> Partition | None:
-    blocks = greedy_feasible_partition(game.agents, bounds)
-    return None if blocks is None else Partition(blocks)
+def _greedy_start(game: Game, bounds: SizeBounds) -> Partition:
+    if (blocks := greedy_feasible_partition(game.agents, bounds)) is None:
+        raise _no_partition(game.n, bounds)
+    return Partition(blocks)
 
 
 def _cmd_solve(args) -> int:
     game = parse(_read(args.game), "game")
     bounds, concept, k = args.bounds, args.concept, args.k
     lo, hi = bounds.lower, bounds.upper
-    if k is not None and not (concept.base == "cis" and concept.feasible_variant):
+    if k is not None and concept is not Concept.CIS_STAR:
         raise _UsageError("--k only applies to --concept cis*")
     if k is not None and k < 1:
         raise _UsageError(f"--k must be at least 1, got {k}")
-    unsupported = f"no algorithm for {concept} with bounds {bounds}; use 'exists --exact'"
-    if concept.base == "cis" and (lo == 1 or not concept.feasible_variant):
-        # the leader algorithm; at a lower bound of 1 permissible and feasible
-        # deviations coincide, but it cannot target a coalition count
-        if k is not None:
-            return _no_algorithm("no algorithm targets a coalition count with a lower bound of 1")
-        if lo != 1 or hi < 2:
-            return _no_algorithm(unsupported)
+    if k is not None and lo == 1:
+        # the leader algorithm serves cis* at a lower bound of 1, where permissible
+        # and feasible deviations coincide, but it cannot target a coalition count
+        raise _Refusal("no algorithm targets a coalition count with a lower bound of 1")
+    if concept.base == "cis" and lo == 1 < hi:
         partition, _ = cis_upper(game, hi)
-    elif concept.base == "cis":  # CIS* with a lower bound of at least 2
+    elif concept is Concept.CIS_STAR and lo > 1:
         if not ((nonzero := game.is_nonzero()) or game.is_nonnegative()):
-            return _no_algorithm(
+            raise _Refusal(
                 "CIS* solving with a nontrivial lower bound needs nonzero or "
                 "nonnegative valuations; use 'exists --exact' otherwise"
             )
         solver = cis_star_nonzero if nonzero else cis_star_nonneg
         partition = solver(game, bounds, game.n // lo if k is None else k)
         if partition is None:
-            return _no_partition(game.n, bounds, k)
+            raise _no_partition(game.n, bounds, k)
     elif concept.base == "cns" and (lo, hi) == (1, 2):
         partition = cns_pairs(game)
     elif concept is Concept.NS_STAR:
-        if (init := _greedy_start(game, bounds)) is None:
-            return _no_partition(game.n, bounds)
-        partition, _ = symmetric_dynamics(game, bounds, init)
+        partition, _ = symmetric_dynamics(game, bounds, _greedy_start(game, bounds))
     else:
-        return _no_algorithm(unsupported)
-    report = verify(game, partition, bounds, concept)
-    if not report.stable:  # pragma: no cover - guards against solver bugs
+        raise _Refusal(f"no algorithm for {concept} with bounds {bounds}; use 'exists --exact'")
+    if not verify(game, partition, bounds, concept).stable:  # pragma: no cover - a solver bug
         raise RuntimeError(f"solver produced a partition rejected for {concept}")
     _emit_partition(partition)
     return 0
@@ -163,7 +157,7 @@ def _cmd_solve(args) -> int:
 def _cmd_exists(args) -> int:
     game = parse(_read(args.game), "game")
     if not feasible_partition_exists(game.n, args.bounds):
-        return _no_partition(game.n, args.bounds)
+        raise _no_partition(game.n, args.bounds)
     partition = exists_stable(game, args.bounds, args.concept, args.budget)
     if partition is None:
         print(f"no {args.concept} partition exists within {args.bounds}", file=sys.stderr)
@@ -175,7 +169,7 @@ def _cmd_exists(args) -> int:
 def _cmd_maxwelfare(args) -> int:
     game = parse(_read(args.game), "game")
     if not feasible_partition_exists(game.n, args.bounds):
-        return _no_partition(game.n, args.bounds)
+        raise _no_partition(game.n, args.bounds)
     partition = max_welfare_partition(game, args.bounds, args.budget)
     print(f"welfare: {social_welfare(game, partition)}", file=sys.stderr)
     _emit_partition(partition)
@@ -200,39 +194,39 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# theorem: (source format, builder, default upper bound or None where the
+# theorem takes --bounds, certificate format)
+_THEOREMS = {
+    5: ("x3c", x3c_to_cns, 3, "cover"),
+    6: ("mmm", mmm_to_ns_is, 2, "matching"),
+    9: ("x3c", x3c_to_ns_bounded, None, "cover"),
+}
+
+
 def _cmd_reduce(args) -> int:
-    if args.theorem in (5, 9) and args.source != "x3c":
-        raise _UsageError(f"theorem {args.theorem} reduces from x3c instances")
-    if args.theorem == 6 and args.source != "mmm":
-        raise _UsageError("theorem 6 reduces from mmm instances")
-    if args.theorem == 9 and args.mu is not None:
+    source, build, default_mu, certificate = _THEOREMS[args.theorem]
+    if args.source != source:
+        raise _UsageError(f"theorem {args.theorem} reduces from {source} instances")
+    if default_mu is None and args.mu is not None:
         raise _UsageError("--mu only applies to theorems 5 and 6")
-    if args.theorem != 9 and args.bounds is not None:
+    if default_mu is not None and args.bounds is not None:
         raise _UsageError("--bounds only applies to theorem 9")
     text = _read(args.instance)
-    if args.theorem == 9 and args.bounds is None:
-        raise _UsageError("theorem 9 needs --bounds")
-    instance = parse(text, args.source)
-    if args.theorem == 5:
-        reduced = x3c_to_cns(instance, 3 if args.mu is None else args.mu)
-    elif args.theorem == 6:
-        reduced = mmm_to_ns_is(instance, 2 if args.mu is None else args.mu)
-    else:
-        reduced = x3c_to_ns_bounded(instance, args.bounds)
+    if default_mu is None and args.bounds is None:
+        raise _UsageError(f"theorem {args.theorem} needs --bounds")
+    mu = default_mu if args.mu is None else args.mu
+    reduced = build(parse(text, source), args.bounds if mu is None else mu)
     if args.witness is None:
         sys.stdout.write(serialize_game(reduced.game))
         return 0
-    certificate = parse(_read(args.witness), "matching" if args.theorem == 6 else "cover")
-    _emit_partition(witness_partition(reduced, certificate))
+    _emit_partition(witness_partition(reduced, parse(_read(args.witness), certificate)))
     return 0
 
 
 def _cmd_dynamics(args) -> int:
     game = parse(_read(args.game), "game")
-    if args.init is not None:
-        init = parse(_read(args.init), "partition")
-    elif (init := _greedy_start(game, args.bounds)) is None:
-        return _no_partition(game.n, args.bounds)
+    init = (_greedy_start(game, args.bounds) if args.init is None
+            else parse(_read(args.init), "partition"))
     final, steps = symmetric_dynamics(game, args.bounds, init)
     print(f"steps: {steps}", file=sys.stderr)
     _emit_partition(final)
@@ -307,7 +301,10 @@ def run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
-    # Both exit-2 errors are ValueErrors, so their clause comes first.
+    except _Refusal as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    # The two exit-2 errors are ValueErrors, so their clause comes first.
     except (InfeasiblePartitionError, NotSymmetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

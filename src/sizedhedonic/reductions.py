@@ -191,6 +191,19 @@ def mmm_to_ns_is(instance: MMMInstance, mu: int) -> ReducedGame:
     return ReducedGame(Game(total, vals), roles, "mmm_to_ns_is", instance, mu=mu)
 
 
+def _clash(tag: tuple[str, int], tag2: tuple[str, int], sets: Sequence[tuple[int, ...]]) -> bool:
+    """Whether two tagged core agents of ``x3c_to_ns_bounded`` value each other -1.
+
+    They do when they are beta and t; beta_r and xi_s with r not in set s;
+    two xi of different sets; or two t of different spare triplets.  The
+    rule is symmetric, so the pair is taken in tag order: beta, t, xi.
+    """
+    (kind, key), (kind2, key2) = (tag, tag2) if tag < tag2 else (tag2, tag)
+    if kind == kind2:
+        return kind != "beta" and key != key2
+    return kind == "beta" and (kind2 == "t" or key not in sets[key2 - 1])
+
+
 def x3c_to_ns_bounded(instance: X3CInstance, bounds: SizeBounds) -> ReducedGame:
     """Game whose NS partitions under ``bounds`` encode exact covers.
 
@@ -210,14 +223,16 @@ def x3c_to_ns_bounded(instance: X3CInstance, bounds: SizeBounds) -> ReducedGame:
     roles: dict[int, str] = {}
     add = partial(_add_role, roles)
 
-    beta = {r: add(f"beta[{r}]") for r in range(1, instance.ground_size + 1)}
-    xi = {
-        (s, i): add(f"xi[{s}:{i}]")
+    # Each core agent's tag: its kind and the ground element, set or spare
+    # triplet it stands for (see _clash).
+    core = {add(f"beta[{r}]"): ("beta", r) for r in range(1, instance.ground_size + 1)}
+    core |= {
+        add(f"xi[{s}:{i}]"): ("xi", s)
         for s in range(1, len(instance.sets) + 1)
         for i in range(1, hi - 2)
     }
-    t = {
-        (i, j): add(f"t[{i}:{j}]")
+    core |= {
+        add(f"t[{i}:{j}]"): ("t", i)
         for i in range(1, spare_sets + 1)
         for j in range(1, 4)
     }
@@ -229,31 +244,14 @@ def x3c_to_ns_bounded(instance: X3CInstance, bounds: SizeBounds) -> ReducedGame:
     chaser = add("alpha")
     n = len(roles)
 
-    core = list(beta.values()) + list(xi.values()) + list(t.values())
     vals: dict[tuple[int, int], int] = {}
     for c in core:
         vals[(c, chaser)] = -hi
         vals[(chaser, c)] = 1
-    members_of = {s: set(ms) for s, ms in enumerate(instance.sets, start=1)}
-    for r, br in beta.items():
-        for tv in t.values():
-            vals[(br, tv)] = -1
-        for (s, _i), xv in xi.items():
-            if r not in members_of[s]:
-                vals[(br, xv)] = -1
-    for (s, _i), xv in xi.items():
-        for (s2, _j), xv2 in xi.items():
-            if s2 != s and xv != xv2:
-                vals[(xv, xv2)] = -1
-        for r, br in beta.items():
-            if r not in members_of[s]:
-                vals[(xv, br)] = -1
-    for (i, _j), tv in t.items():
-        for (i2, _j2), tv2 in t.items():
-            if i2 != i:
-                vals[(tv, tv2)] = -1
-        for br in beta.values():
-            vals[(tv, br)] = -1
+    for c, tag in core.items():
+        for c2, tag2 in core.items():
+            if _clash(tag, tag2, instance.sets):
+                vals[(c, c2)] = -1
     for d in dummies:
         for c in core:
             vals[(d, c)] = -1

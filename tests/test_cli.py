@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ from sizedhedonic import (
     Partition,
     SizeBounds,
     aziz_failure,
+    feasible_k_partition_exists,
+    feasible_partition_exists,
     intro_negative,
     intro_positive,
     star_no_cis,
@@ -367,6 +370,79 @@ class TestSolveDispatchPinned:
             capsys, "solve", "--concept", "cis*", "--bounds", "2:3", "--k", k, files["star"]
         )
         assert (code, out) == (3, "") and err.startswith("error: ")
+
+
+class TestReadmeDispatchTable:
+    """README's ``solve`` dispatch table against ``solve`` itself.
+
+    Each cell text of the table has one meaning here, and a cell this test
+    does not know fails it.  ``solve`` must exit 0 exactly when a row applies
+    and a partition with the coalition count of that row's method fits;
+    otherwise it must exit 2 with nothing on stdout.
+    """
+
+    # bounds / game class cell -> does the row apply to (game, lower, upper)
+    APPLIES = {
+        "`1:U`, `U>=2`": lambda game, lo, hi: lo == 1 and hi >= 2,
+        "`1:2`": lambda game, lo, hi: (lo, hi) == (1, 2),
+        "`L>=2`, nonzero valuations": lambda game, lo, hi: lo >= 2 and game.is_nonzero(),
+        "`L>=2`, nonnegative valuations": lambda game, lo, hi: lo >= 2 and game.is_nonnegative(),
+        "symmetric valuations": lambda game, lo, hi: game.has_symmetric_table(),
+    }
+    # method cell -> does a partition of the method's coalition count fit
+    FITS = {
+        "leader construction": feasible_partition_exists,
+        "greedy pairing": feasible_partition_exists,
+        "two-phase leader fill": lambda n, b: feasible_k_partition_exists(n, n // b.lower, b),
+        "budgeted leader joining": lambda n, b: feasible_k_partition_exists(n, n // b.lower, b),
+        "welfare dynamics": feasible_partition_exists,
+    }
+
+    def rows(self):
+        lines = Path(__file__).resolve().parents[1].joinpath("README.md").read_text().splitlines()
+        start = lines.index("`solve` only dispatches to algorithms with a correctness guarantee:")
+        table = []
+        for line in lines[start + 4:]:  # past the blank line, header and rule
+            if not line.startswith("|"):
+                break
+            concepts, when, method = (cell.strip() for cell in line.strip("|").split("|"))
+            names = [name.strip("`") for name in concepts.split(", ")]
+            if concepts != ", ".join(f"`{name}`" for name in names):
+                pytest.fail(f"unknown concept cell {concepts!r}")
+            if when not in self.APPLIES or method not in self.FITS:
+                pytest.fail(f"unknown cell in row {line!r}")
+            concepts = {Concept.parse(name) for name in names}
+            table.append((concepts, self.APPLIES[when], self.FITS[method]))
+        assert table, "README has no dispatch table"
+        return table
+
+    def test_solve_exits_as_the_table_says(self, capsys, tmp_path):
+        from conftest import random_game
+
+        games = {
+            "intro_pos": intro_positive(3),
+            "star": star_no_cis(2),
+            "aziz": aziz_failure(),
+            "nonzero": random_game(random.Random(1), 5, nonzero=True),
+            "nonneg": random_game(random.Random(2), 5, nonneg=True),
+        }
+        assert games["nonzero"].is_nonzero() and not games["nonzero"].has_symmetric_table()
+        assert games["nonneg"].is_nonnegative() and not games["nonneg"].has_symmetric_table()
+        table = self.rows()
+        for key, game in games.items():
+            path = tmp_path / key
+            path.write_text(serialize_game(game))
+            for concept in Concept:
+                for hi in range(1, 5):
+                    for lo in range(1, hi + 1):
+                        bounds = SizeBounds(lo, hi)
+                        solved = any(
+                            concept in concepts and applies(game, lo, hi) and fits(game.n, bounds)
+                            for concepts, applies, fits in table
+                        )
+                        argv = ("solve", "--concept", concept.value, "--bounds", f"{lo}:{hi}")
+                        code, out, _ = invoke(capsys, *argv, str(path))
+                        assert (code == 0) if solved else (code, out) == (2, ""), (key, argv)
 
 
 class TestPartitionInputsPinned:
