@@ -29,7 +29,10 @@ A canonical game file (ASCII, ``\n`` line breaks, the header on the first
 line with any whitespace between its tokens, and then only ``v i j w``
 lines, as ``serialize_game`` writes) is parsed in bulk, a few kilobytes at
 a time; every other game text is parsed line by line, with identical
-results and errors.
+results and errors.  The bulk pass keeps no per-cell marks: it writes a
+zero weight as None, reads each weight token through one memo for the
+whole text, and finds a repeated pair or a self-valuation by counting the
+cells written once the body is read (``_parse_canonical_game``).
 """
 
 from __future__ import annotations
@@ -141,19 +144,23 @@ def _parse_canonical_game(text: str) -> Game | None:
     with ``v `` and hold four tokens.  The body is read in chunks of about
     ``_CHUNK`` characters cut after a ``\n``, so no list of the whole file
     is kept.  A chunk of L lines, each beginning with ``v ``, must split into
-    4L tokens.  The i and j columns (tokens 1, 5, 9, ... and 2, 6, 10, ...)
-    go through a dict of the strings ``"1"``..``"n"``, which also checks
-    their range, and each distinct string of the w column through ``int``,
-    as in the line loop.  Since ``v`` is neither an id nor
-    an integer, the L ``v`` that begin the lines then all sit in the
-    L places of the tag column, so each line is exactly ``v i j w``.  The
-    table and a seen-marker are filled by C-level scatters, and the marks
-    are counted at the end: a self-valuation marks the diagonal, and a
-    repeated pair (under ``symmetric``, either direction of a given pair)
-    marks fewer cells than there are lines.  Any other failed check returns
-    None, and the line loop then reads the text and raises its error.  A
-    malformed header on the first line is the exception: ``_game_header``
-    raises here the error the line loop would raise for the same line.
+    4L tokens.  The i column (tokens 1, 5, 9, ...) goes through a dict from
+    the strings ``"1"``..``"n"`` to their table rows, the j column (tokens
+    2, 6, 10, ...) through a dict of the same strings to their ints, which
+    also checks their range, and the w column through one memo of ``int``
+    kept for the whole call (``_Weights``), as in the line loop.  Since
+    ``v`` is neither an id nor an integer, the L ``v`` that begin the lines
+    then all sit in the L places of the tag column, so each line is exactly
+    ``v i j w``.  The table is filled by C-level scatters, with a zero
+    weight written as None, so that each line leaves its cell not 0.  After
+    the last chunk the cells that are not 0 are counted: a self-valuation
+    leaves the diagonal not 0, and a repeated pair (under ``symmetric``,
+    either direction of a given pair) leaves fewer such cells than there
+    are lines (twice as many under ``symmetric``).  Then each None is set
+    back to 0.  Any other failed check returns None, and the line loop then
+    reads the text and raises its error.  A malformed header on the first
+    line is the exception: ``_game_header`` raises here the error the line
+    loop would raise for the same line.
     """
     if not text.isascii() or any(map(text.__contains__, _OTHER_LINE_BREAKS)):
         return None
@@ -162,9 +169,10 @@ def _parse_canonical_game(text: str) -> Game | None:
     if not header:
         return None
     n, symmetric = _game_header(header, 1)
-    ids = {str(a): a for a in range(1, n + 1)}
     table = [[0] * (n + 1) for _ in range(n + 1)]
-    seen = [bytearray(n + 1) for _ in range(n + 1)]
+    ids = {str(a): a for a in range(1, n + 1)}
+    rows = {str(a): table[a] for a in range(1, n + 1)}
+    weights = _Weights()
     given = 0
     size = len(text)
     start = end + 1 if end >= 0 else size
@@ -181,22 +189,41 @@ def _parse_canonical_game(text: str) -> Game | None:
         ):
             return None
         try:
-            agents = list(map(ids.__getitem__, tokens[1::4]))
-            others = list(map(ids.__getitem__, tokens[2::4]))
-            weights = {w: int(w) for w in set(tokens[3::4])}
+            if symmetric:
+                agents = list(map(ids.__getitem__, tokens[1::4]))
+                others = list(map(ids.__getitem__, tokens[2::4]))
+                values = list(map(weights.__getitem__, tokens[3::4]))
+                deque(map(setitem, map(table.__getitem__, agents), others, values), 0)
+                deque(map(setitem, map(table.__getitem__, others), agents, values), 0)
+            else:
+                others = map(ids.__getitem__, tokens[2::4])
+                values = map(weights.__getitem__, tokens[3::4])
+                deque(map(setitem, map(rows.__getitem__, tokens[1::4]), others, values), 0)
         except (KeyError, ValueError):
             return None
-        values = list(map(weights.__getitem__, tokens[3::4]))
-        deque(map(setitem, map(table.__getitem__, agents), others, values), 0)
-        deque(map(setitem, map(seen.__getitem__, agents), others, repeat(1)), 0)
-        if symmetric:
-            deque(map(setitem, map(table.__getitem__, others), agents, values), 0)
-            deque(map(setitem, map(seen.__getitem__, others), agents, repeat(1)), 0)
         given += lines
-    marks = b"".join(seen)
-    if any(marks[:: n + 2]) or marks.count(1) != given * (2 if symmetric else 1):
+    untouched = sum(map(list.count, table, repeat(0)))
+    diagonal = list(map(list.__getitem__, table, range(n + 1)))
+    if diagonal.count(0) != n + 1 or (n + 1) ** 2 - untouched != given * (1 + symmetric):
         return None
+    if None in weights.values():
+        for row in table:
+            if None in row:
+                row[:] = [w or 0 for w in row]
     return Game._from_table(n, table, symmetric)
+
+
+class _Weights(dict):
+    """The bulk pass's memo from a weight token to its value, ``int(token)``.
+
+    A zero weight is kept as None, so that the cell it is written to is told
+    from a cell no line wrote.  A token ``int`` cannot read raises its
+    ``ValueError``.
+    """
+
+    def __missing__(self, token: str) -> int | None:
+        value = self[token] = int(token) or None
+        return value
 
 
 def _parse_game_lines(text: str) -> Game:

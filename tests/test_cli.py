@@ -676,6 +676,15 @@ class TestFileArguments:
         assert (code, out) == (3, "")
         assert err.startswith(f"error: cannot read {missing}: ")
 
+    @pytest.mark.parametrize("case", ["verify-game", "verify-partition"])
+    def test_an_undecodable_file_is_exit_three_and_named(self, capsys, files, tmp_path, case):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"ashg 6\nv 1 2 \xff\n")
+        code, out, err = invoke(capsys, *self.argv(files, tmp_path, self.CASES[case][0], str(bad)))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: cannot read {bad}: ") and "0xff" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_a_malformed_file_is_exit_three(self, capsys, files, tmp_path, case):
         template, text, message = self.CASES[case]

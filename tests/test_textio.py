@@ -589,3 +589,134 @@ def test_canonical_200_agent_text_takes_the_bulk_pass(monkeypatch):
         assert len(text) > 4 * textio._CHUNK  # several chunks
         assert parse_game(text) == g
         assert parse_game(text.rstrip("\n")) == g
+
+
+# The bulk pass finds a repeated pair or a self-valuation by counting the
+# cells its scatters wrote once the whole body is read, with a zero weight
+# written as a mark of its own; these texts span several chunks, so the
+# lines the count must catch sit in different chunks.
+
+
+def _body(n, symmetric, skip=()):
+    """The ``v`` lines of every pair of n agents but ``skip``, zeros included
+    (one pair per unordered pair under ``symmetric``)."""
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
+             if (a < b if symmetric else a != b) and (a, b) not in skip]
+    return [f"v {a} {b} {(3 * a + b) % 9 - 4}" for a, b in pairs]
+
+
+def _count_rule_text(symmetric, first, last):
+    """A 60-agent text that gives pair (1, 2) by ``first`` and ``last`` only,
+    the first line of its body and the last."""
+    header = "ashg 60" + (" symmetric" if symmetric else "")
+    lines = [header, *first, *_body(60, symmetric, skip={(1, 2), (2, 1)}), *last]
+    return "\n".join(lines) + "\n"
+
+
+COUNT_RULE_TEXTS = {
+    # a repeated pair, its two copies in different chunks, one of them 0
+    "repeat-then-0": _count_rule_text(False, ["v 1 2 5"], ["v 1 2 0"]),
+    "0-then-repeat": _count_rule_text(False, ["v 1 2 0"], ["v 1 2 5"]),
+    "0-twice": _count_rule_text(False, ["v 1 2 0"], ["v 1 2 0"]),
+    "symmetric-0-twice": _count_rule_text(True, ["v 1 2 0"], ["v 1 2 0"]),
+    "symmetric-0-then-reversed": _count_rule_text(True, ["v 1 2 0"], ["v 2 1 3"]),
+    # a self-valuation of weight 0, first or last
+    "self-0-first": _count_rule_text(False, ["v 1 2 1", "v 7 7 0"], []),
+    "self-0-last": _count_rule_text(False, ["v 1 2 1"], ["v 60 60 0"]),
+    "symmetric-self-0": _count_rule_text(True, ["v 1 2 1"], ["v 5 5 0"]),
+    # both directions of one symmetric pair, each given as 0
+    "symmetric-both-directions-0": _count_rule_text(True, ["v 1 2 0"], ["v 2 1 0"]),
+    # a weight first seen in the last chunk, valid or not
+    "new-weight-last": _count_rule_text(False, [], ["v 1 2 98765"]),
+    "symmetric-new-weight-last": _count_rule_text(True, [], ["v 2 1 -98765"]),
+    "new-zero-spelling-last": _count_rule_text(False, [], ["v 1 2 -0"]),
+    "bad-weight-last": _count_rule_text(False, [], ["v 1 2 1.5"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_RULE_TEXTS))
+def test_count_rule_matches_line_loop_across_chunks(name):
+    text = COUNT_RULE_TEXTS[name]
+    assert len(text) > 2 * textio._CHUNK
+    assert outcome(parse_game, text) == outcome(textio._parse_game_lines, text)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_a_weight_first_seen_in_the_last_chunk_takes_the_bulk_pass(symmetric):
+    for weight in ("98765", "-98765", "-0"):
+        text = _count_rule_text(symmetric, [], [f"v 2 1 {weight}"])
+        game = textio._parse_canonical_game(text)
+        assert game == textio._parse_game_lines(text)
+        assert game.value(2, 1) == int(weight)
+
+
+def test_canonical_200_agent_text_with_zeros_takes_the_bulk_pass(monkeypatch):
+    import random
+
+    rng = random.Random(202)
+    n = 200
+    vals = {
+        (a, b): rng.randint(-2, 2)
+        for a in range(1, n + 1)
+        for b in range(1, n + 1)
+        if a != b and rng.random() < 0.5
+    }
+    sym = {(a, b): w for (a, b), w in vals.items() if a < b}
+    texts = []
+    for given, header in ((vals, "ashg 200"), (sym, "ashg 200 symmetric")):
+        lines = [f"v {a} {b} {w}" for (a, b), w in given.items()]
+        rng.shuffle(lines)
+        assert sum(line.endswith(" 0") for line in lines) > 1000
+        texts.append("\n".join([header, *lines]) + "\n")
+    sym.update({(b, a): w for (a, b), w in sym.items()})
+    games = [Game(n, vals), Game(n, sym, symmetric=True)]
+
+    def line_loop(text):
+        raise AssertionError("the line loop ran on a canonical text")
+
+    monkeypatch.setattr(textio, "_parse_game_lines", line_loop)
+    for g, text in zip(games, texts):
+        assert len(text) > 4 * textio._CHUNK  # several chunks
+        assert parse_game(text) == g  # so no zero mark is left in the table
+
+
+@st.composite
+def multi_chunk_game_texts(draw):
+    """A canonical text of 30-60 agents that spans several chunks, and the
+    same text under up to three mutations, each at a line past the first
+    chunk; with the number of mutations applied."""
+    import random
+
+    symmetric = draw(st.booleans(), label="symmetric")
+    n = draw(st.integers(45 if symmetric else 30, 60), label="n")
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    header = ["ashg", str(n)] + (["symmetric"] if symmetric else [])
+    lines = [line.split() for line in _body(n, symmetric) if rng.random() < 0.8]
+    for tokens in lines:
+        tokens[3] = str(rng.randint(-12, 12))
+    rng.shuffle(lines)
+    rows = [["", header, " ", "\n"]] + [["", tokens, " ", "\n"] for tokens in lines]
+    canonical = "".join(lead + sep.join(tokens) + end for lead, tokens, sep, end in rows)
+    # the first chunk of the body ends at the first line break _CHUNK past its start
+    stop = canonical.find("\n", canonical.find("\n") + 1 + textio._CHUNK) + 1
+    later = canonical.count("\n", 0, stop)  # the index of the first row past it
+    assert 0 < stop < len(canonical)
+    mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=3), label="mutations")
+    # each mutation sees the rows from a later line on, that line in the header's place
+    tail = rows[draw(st.integers(later, len(rows) - 1), label="line"):]
+    head = rows[: len(rows) - len(tail)]
+    for mutate in mutations:
+        mutate(draw, tail, n)
+    rows = head + tail
+    text = "".join(lead + sep.join(tokens) + end for lead, tokens, sep, end in rows)
+    return canonical, text, len(mutations)
+
+
+@given(multi_chunk_game_texts())
+@settings(max_examples=60, deadline=None)
+def test_parse_game_matches_line_loop_across_chunks(case):
+    canonical, text, mutated = case
+    assert outcome(parse_game, text) == outcome(textio._parse_game_lines, text)
+    if not mutated:
+        assert text == canonical
+        assert textio._parse_canonical_game(text) == textio._parse_game_lines(text)
