@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 from .algorithms import (
     NotSymmetricError,
@@ -33,7 +32,7 @@ from .model import (
 from .prefs import social_welfare
 from .reductions import mmm_to_ns_is, witness_partition, x3c_to_cns, x3c_to_ns_bounded
 from .stability import Concept, Deviation, verify
-from .textio import parse, serialize_game, serialize_partition
+from .textio import _read, parse, serialize_game, serialize_partition
 
 
 class _UsageError(Exception):
@@ -74,13 +73,6 @@ def _budget(text: str) -> EnumerationBudget:
     if max_n < 1:
         raise _UsageError(f"--max-n must be at least 1, got {max_n}")
     return EnumerationBudget(max_agents=max_n)
-
-
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from None
 
 
 def _print_deviation(deviation: Deviation, partition: Partition) -> None:

@@ -25,14 +25,20 @@ optional, has its own check (``_game_header``).  A game, x3c or mmm text
 with no non-blank line raises ``empty input`` at line 1, naming the header
 it expected (``_head``).
 
-A canonical game file (ASCII, ``\n`` line breaks, the header on the first
+A game is read into its (n+1)² valuation table by one cell rule, which
+both of its passes keep.  Each weight token is read through one memo for
+the whole text (``_Weights``), which gives a zero weight as None, so every
+cell a ``v`` line wrote reads as not 0 and every cell still 0 was never
+written.  Once the body is read, ``_adopt`` sets each None back to 0 (only
+when the memo holds a zero) and adopts the table as the ``Game``.  A
+canonical game file (ASCII, ``\n`` line breaks, the header on the first
 line with any whitespace between its tokens, and then only ``v i j w``
 lines, as ``serialize_game`` writes) is parsed in bulk, a few kilobytes at
-a time; every other game text is parsed line by line, with identical
-results and errors.  The bulk pass keeps no per-cell marks: it writes a
-zero weight as None, reads each weight token through one memo for the
-whole text, and finds a repeated pair or a self-valuation by counting the
-cells written once the body is read (``_parse_canonical_game``).
+a time, and finds a repeated pair or a self-valuation by counting the
+cells that are not 0 once the body is read (``_parse_canonical_game``).
+Every other game text is parsed line by line, where a pair is a repeat
+when its cell is not 0 (``_parse_game_lines``), with identical results and
+errors.  Neither pass keeps any per-cell structure besides the table.
 """
 
 from __future__ import annotations
@@ -147,20 +153,20 @@ def _parse_canonical_game(text: str) -> Game | None:
     4L tokens.  The i column (tokens 1, 5, 9, ...) goes through a dict from
     the strings ``"1"``..``"n"`` to their table rows, the j column (tokens
     2, 6, 10, ...) through a dict of the same strings to their ints, which
-    also checks their range, and the w column through one memo of ``int``
-    kept for the whole call (``_Weights``), as in the line loop.  Since
+    also checks their range, and the w column through ``_Weights``.  Since
     ``v`` is neither an id nor an integer, the L ``v`` that begin the lines
     then all sit in the L places of the tag column, so each line is exactly
-    ``v i j w``.  The table is filled by C-level scatters, with a zero
-    weight written as None, so that each line leaves its cell not 0.  After
-    the last chunk the cells that are not 0 are counted: a self-valuation
-    leaves the diagonal not 0, and a repeated pair (under ``symmetric``,
-    either direction of a given pair) leaves fewer such cells than there
-    are lines (twice as many under ``symmetric``).  Then each None is set
-    back to 0.  Any other failed check returns None, and the line loop then
-    reads the text and raises its error.  A malformed header on the first
-    line is the exception: ``_game_header`` raises here the error the line
-    loop would raise for the same line.
+    ``v i j w``.  The table is filled by one C-level scatter, i's row at j's
+    id; under ``symmetric`` a second one, through the same dicts, writes
+    j's row at i's id.  By the cell rule each line leaves its cell not 0.
+    After the last chunk the cells that are not 0 are counted: a
+    self-valuation leaves the diagonal not 0, and a repeated pair (under
+    ``symmetric``, either direction of a given pair) leaves fewer such
+    cells than there are lines (twice as many under ``symmetric``).  Any
+    other failed check returns None, and the line loop then reads the text
+    and raises its error.  A malformed header on the first line is the
+    exception: ``_game_header`` raises here the error the line loop would
+    raise for the same line.
     """
     if not text.isascii() or any(map(text.__contains__, _OTHER_LINE_BREAKS)):
         return None
@@ -189,16 +195,12 @@ def _parse_canonical_game(text: str) -> Game | None:
         ):
             return None
         try:
-            if symmetric:
-                agents = list(map(ids.__getitem__, tokens[1::4]))
-                others = list(map(ids.__getitem__, tokens[2::4]))
-                values = list(map(weights.__getitem__, tokens[3::4]))
-                deque(map(setitem, map(table.__getitem__, agents), others, values), 0)
-                deque(map(setitem, map(table.__getitem__, others), agents, values), 0)
-            else:
-                others = map(ids.__getitem__, tokens[2::4])
+            # token r of each line names the row and token c the column: i's row
+            # at j's id, and under symmetric also j's row at i's id
+            for r, c in ((1, 2), (2, 1))[: 1 + symmetric]:
+                others = map(ids.__getitem__, tokens[c::4])
                 values = map(weights.__getitem__, tokens[3::4])
-                deque(map(setitem, map(rows.__getitem__, tokens[1::4]), others, values), 0)
+                deque(map(setitem, map(rows.__getitem__, tokens[r::4]), others, values), 0)
         except (KeyError, ValueError):
             return None
         given += lines
@@ -206,19 +208,16 @@ def _parse_canonical_game(text: str) -> Game | None:
     diagonal = list(map(list.__getitem__, table, range(n + 1)))
     if diagonal.count(0) != n + 1 or (n + 1) ** 2 - untouched != given * (1 + symmetric):
         return None
-    if None in weights.values():
-        for row in table:
-            if None in row:
-                row[:] = [w or 0 for w in row]
-    return Game._from_table(n, table, symmetric)
+    return _adopt(n, table, symmetric, weights)
 
 
 class _Weights(dict):
-    """The bulk pass's memo from a weight token to its value, ``int(token)``.
+    """The memo from a weight token to its value, ``int(token)``, kept by
+    either game pass for the whole text.
 
-    A zero weight is kept as None, so that the cell it is written to is told
-    from a cell no line wrote.  A token ``int`` cannot read raises its
-    ``ValueError``.
+    A zero weight is given as None, the module docstring's cell rule, so
+    that a cell a line wrote is told from a cell no line wrote.  A token
+    ``int`` cannot read raises its ``ValueError``.
     """
 
     def __missing__(self, token: str) -> int | None:
@@ -226,24 +225,35 @@ class _Weights(dict):
         return value
 
 
+def _adopt(n: int, table: list[list], symmetric: bool, weights: _Weights) -> Game:
+    """The game of a filled ``table``: each None set back to 0, when
+    ``weights`` holds a zero, and the table adopted as it is."""
+    if None in weights.values():
+        for row in table:
+            if None in row:
+                row[:] = [w or 0 for w in row]
+    return Game._from_table(n, table, symmetric)
+
+
 def _parse_game_lines(text: str) -> Game:
     """Parse the game format line by line, straight into the valuation table.
 
     Each ``v`` line is checked and written into the (n+1)² table as it is
-    read; one bytearray per row marks the pairs already given, so a repeated
-    pair (or, under ``symmetric``, either direction of a given pair) is
-    rejected on the line that repeats it.
+    read, its weight through ``_Weights``.  By the module docstring's cell
+    rule a pair whose cell is not 0 was given before, so a repeated pair
+    (or, under ``symmetric``, either direction of a given pair) is rejected
+    on the line that repeats it, and no other per-cell mark is kept.
     """
     rows = _lines(text)
     number, header = _head(rows, "ashg")
     n, symmetric = _game_header(header, number)
     table = [[0] * (n + 1) for _ in range(n + 1)]
-    seen = [bytearray(n + 1) for _ in range(n + 1)]
+    weights = _Weights()
     for number, tokens in rows:
         # the fast path; a line that fails it is malformed, and _record raises its error
         try:
             tag, i, j, w = tokens
-            i, j, w = int(i), int(j), int(w)
+            i, j, w = int(i), int(j), weights[w]
         except ValueError:
             tag = None
         if tag != "v":
@@ -253,20 +263,16 @@ def _parse_game_lines(text: str) -> Game:
             raise ParseError(number, f"agent ids must lie in 1..{n}")
         if i == j:
             raise ParseError(number, "an agent may not value itself")
-        seen_i = seen[i]
-        if seen_i[j]:
-            if symmetric and table[i][j] != w:
-                raise ParseError(
-                    number,
-                    f"symmetry conflict: v_{i}({j}) already set to {table[i][j]}",
-                )
+        row = table[i]
+        if row[j] != 0:
+            if symmetric and row[j] != w:
+                old = row[j] or 0
+                raise ParseError(number, f"symmetry conflict: v_{i}({j}) already set to {old}")
             raise ParseError(number, f"duplicate valuation for pair ({i}, {j})")
-        seen_i[j] = 1
-        table[i][j] = w
+        row[j] = w
         if symmetric:
-            seen[j][i] = 1
             table[j][i] = w
-    return Game._from_table(n, table, symmetric)
+    return _adopt(n, table, symmetric, weights)
 
 
 def serialize_game(game: Game) -> str:
@@ -352,8 +358,20 @@ _PARSERS = {
 
 
 def parse(source: str | os.PathLike, kind: str):
-    """Parse ``source`` (text, or a path-like pointing at a file) as ``kind``."""
+    """Parse ``source`` (text, or a path-like pointing at a file) as ``kind``.
+
+    A file that cannot be opened or decoded raises ``ValueError`` naming it
+    (``_read``, which the CLI reads its files through too).
+    """
     if kind not in _PARSERS:
         raise ValueError(f"unknown kind {kind!r}; know {sorted(_PARSERS)}")
-    text = Path(source).read_text() if isinstance(source, os.PathLike) else source
-    return _PARSERS[kind](text)
+    return _PARSERS[kind](_read(source) if isinstance(source, os.PathLike) else source)
+
+
+def _read(path: str | os.PathLike) -> str:
+    """The text of the file at ``path``; a file that cannot be opened or
+    decoded raises ``ValueError("cannot read <path>: <reason>")``."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None

@@ -720,3 +720,86 @@ def test_parse_game_matches_line_loop_across_chunks(case):
     if not mutated:
         assert text == canonical
         assert textio._parse_canonical_game(text) == textio._parse_game_lines(text)
+
+
+def test_parse_names_a_file_it_cannot_decode(tmp_path: Path):
+    bad = tmp_path / "bad.ashg"
+    bad.write_bytes(b"ashg 2\nv 1 2 \xff\n")
+    with pytest.raises(ValueError) as info:
+        parse(bad, "game")
+    assert str(info.value).startswith(f"cannot read {bad}: ") and "0xff" in str(info.value)
+
+
+def test_parse_names_a_missing_file(tmp_path: Path):
+    missing = tmp_path / "missing.ashg"
+    with pytest.raises(ValueError) as info:
+        parse(missing, "game")
+    assert str(info.value).startswith(f"cannot read {missing}: ")
+
+
+# The line loop keeps the bulk pass's cell rule: a given 0 is written as a
+# mark of its own and set back to 0 once the body is read, and a pair whose
+# cell is not 0 is a repeat.  Each form below makes a text the bulk pass
+# leaves to the line loop.
+LINE_LOOP_FORMS = {
+    "blank-line": lambda lines: "\n".join([lines[0], "", *lines[1:]]) + "\n",
+    "indent": lambda lines: "\n".join([lines[0], *("  " + line for line in lines[1:])]) + "\n",
+    "tab-separated": lambda lines: "\n".join(line.replace(" ", "\t") for line in lines) + "\n",
+}
+
+
+def _line_loop_text(form, symmetric, body):
+    text = LINE_LOOP_FORMS[form](["ashg 4" + (" symmetric" if symmetric else ""), *body])
+    assert textio._parse_canonical_game(text) is None
+    return text
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("form", sorted(LINE_LOOP_FORMS))
+def test_line_loop_leaves_no_zero_mark_in_the_table(form, symmetric):
+    given = {(1, 2): 0, (1, 3): 5, (2, 3): 0, (4, 1): -2, (3, 4): 0}
+    text = _line_loop_text(form, symmetric, [f"v {a} {b} {w}" for (a, b), w in given.items()])
+    vals = dict(given)
+    if symmetric:
+        vals.update({(b, a): w for (a, b), w in given.items()})
+    game = parse_game(text)
+    assert game == Game(4, vals, symmetric=symmetric)
+    assert all(None not in game.row(a) for a in range(5))
+
+
+LINE_LOOP_REPEATS = [
+    # (symmetric, first line, repeating line, error)
+    (False, "v 1 2 0", "v 1 2 5", "duplicate valuation for pair (1, 2)"),
+    (False, "v 1 2 5", "v 1 2 0", "duplicate valuation for pair (1, 2)"),
+    (False, "v 1 2 0", "v 1 2 0", "duplicate valuation for pair (1, 2)"),
+    (True, "v 1 2 0", "v 1 2 0", "duplicate valuation for pair (1, 2)"),
+    (True, "v 1 2 0", "v 2 1 0", "duplicate valuation for pair (2, 1)"),
+    (True, "v 1 2 0", "v 2 1 5", "symmetry conflict: v_2(1) already set to 0"),
+]
+
+
+@pytest.mark.parametrize("form", sorted(LINE_LOOP_FORMS))
+@pytest.mark.parametrize("symmetric, first, repeat, message", LINE_LOOP_REPEATS)
+def test_line_loop_rejects_a_repeat_of_a_given_zero(form, symmetric, first, repeat, message):
+    text = _line_loop_text(form, symmetric, [first, "v 3 4 1", repeat])
+    line = len(text.splitlines())
+    with pytest.raises(ParseError) as info:
+        parse_game(text)
+    assert str(info.value) == f"line {line}: {message}"
+    assert info.value.line == line
+
+
+def test_line_loop_allocates_the_table_and_no_more():
+    import sys
+    import tracemalloc
+
+    n = 400
+    tracemalloc.start()
+    try:
+        game = textio._parse_game_lines(f"\nashg {n}\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = [game.row(a) for a in range(n + 1)]
+    table = sys.getsizeof(rows) + sum(map(sys.getsizeof, rows))
+    assert peak < table + (n + 1) ** 2 // 2
