@@ -13,23 +13,33 @@
   earlier literature, kept as a reference foil; it is known to miss CIS on
   some instances, which the leader algorithms here repair.
 
+The four leader solvers (all but the dynamics and the foil) walk the agents
+one way.  The unplaced agents are one list of ids in increasing order, the
+free list.  ``_leaders`` pops each agent still free when the walk reaches
+it, in id order, so a leader's free list never holds the leader;
+``_strike`` deletes the agents placed with it by bisection, so the list
+stays in id order without a sort, and ``cns_pairs`` puts an unpaired
+leader back in its place.  A leader therefore builds no set: it reads its
+free list, or the friends in it, once, and sorts that (``cns_pairs`` takes
+a maximum instead).
+
 All algorithms break ties toward the lowest agent id, so runs are
 reproducible.  That tie-break is stated once, in ``prefs``: each leader
-ranks its pool once with ``prefs.ranking`` and reads every option it weighs
-from that ranking, and a ``cns_pairs`` leader, which needs only its best
-partner, takes the ranking's head with ``prefs.favorite``.
+ranks its id-ordered free list, or the friends in it, once with
+``prefs._rank`` and reads every option it weighs from that ranking, and a
+``cns_pairs`` leader, which needs only its best partner, takes the
+ranking's head with ``prefs._best``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
-from math import inf
-from operator import add
-from typing import Iterator
+from itertools import accumulate, islice
+from typing import Iterable, Iterator
 
 from .model import Game, Partition, SizeBounds, feasible_k_partition_exists
-from .prefs import favorite, friends, ranking, utility
+from .prefs import _best, _rank, friends, utility
 from .stability import Concept, Deviation, apply_deviation, verify
 
 
@@ -52,6 +62,24 @@ class DynamicsCycleError(RuntimeError):
             f"starting at {cycle[0]!r}"
         )
         self.cycle = cycle
+
+
+def _leaders(free: list[int]) -> Iterator[int]:
+    """Pop and yield each agent still in ``free`` when the walk reaches it.
+
+    The walk goes up the ids and goes on above the last leader, so a leader
+    put back in ``free`` returns to the pool only.
+    """
+    a = 0
+    while (i := bisect_right(free, a)) < len(free):
+        a = free.pop(i)
+        yield a
+
+
+def _strike(free: list[int], placed: Iterable[int]) -> None:
+    """Delete the ``placed`` agents from the id-ordered ``free``."""
+    for b in placed:
+        del free[bisect_left(free, b)]
 
 
 @dataclass(frozen=True)
@@ -80,15 +108,14 @@ def cis_upper(game: Game, upper: int) -> tuple[Partition, tuple[TraceEntry, ...]
     """
     if upper < 2:
         raise ValueError("upper bound must be at least 2")
-    available: set[int] = set(game.agents)
+    free = list(game.agents)
     coalitions: list[list[int]] = []
     deciders: list[list[list[int]]] = []  # the rows of each coalition's decision makers
     joinable: list[int] = []  # indices of the coalitions not yet full, in creation order
     entries: list[TraceEntry] = []
-    while available:
-        a = min(available)
+    for a in _leaders(free):
         row = game.row(a)
-        ranked = ranking(game, a, friends(game, a, available))
+        ranked = _rank(row, [b for b in free if row[b] > 0])
         own_helpers = sorted(ranked[: upper - 1])
         best = sum(map(row.__getitem__, own_helpers))
         target = None
@@ -112,7 +139,7 @@ def cis_upper(game: Game, upper: int) -> tuple[Partition, tuple[TraceEntry, ...]
             coalitions[target].extend([a, *target_helpers])
             deciders[target].append(row)
             entries.append(TraceEntry(a, "joined", target + 1, tuple(target_helpers)))
-        available.difference_update((a, *target_helpers))
+        _strike(free, target_helpers)
         if len(coalitions[target]) == upper:
             joinable.remove(target)
     return Partition(coalitions), tuple(entries)
@@ -170,16 +197,17 @@ def cns_pairs(game: Game) -> Partition:
     strictly-positive partner is paired with the best such partner (ties to
     the lowest id).  Everyone left over stays alone.
     """
-    available: set[int] = set(game.agents)
+    free = list(game.agents)
     pairs: list[list[int]] = []
-    for a in game.agents:
-        if a not in available:
-            continue
-        best = favorite(game, a, available)
-        if best is not None and game.row(a)[best] > 0:
+    for a in _leaders(free):
+        row = game.row(a)
+        best = _best(row, free)
+        if best is not None and row[best] > 0:
             pairs.append([a, best])
-            available.difference_update((a, best))
-    pairs.extend([a] for a in sorted(available))
+            _strike(free, (best,))
+        else:
+            insort(free, a)  # unpaired, so a later leader may still pick it
+    pairs.extend([a] for a in free)
     return Partition(pairs)
 
 
@@ -221,26 +249,24 @@ def cis_star_nonzero(game: Game, bounds: SizeBounds, k: int) -> Partition | None
     if not _k_partition_exists(game, bounds, k, game.is_nonzero, "nonzero"):
         return None
     lo, hi = bounds.lower, bounds.upper
-    available: set[int] = set(game.agents)
+    free = list(game.agents)
     x = game.n - lo * k
     coalitions: list[list[int]] = []
-    for _ in range(k):
-        a = min(available)
+    for a in islice(_leaders(free), k):
         row = game.row(a)
-        ranked = ranking(game, a, available)
+        ranked = _rank(row, free)
         # friends come first in the ranking, so the best of them that phase I
         # left are the positive prefix of the rest
         extra = [b for b in ranked[lo - 1 : lo - 1 + min(hi - lo, x)] if row[b] > 0]
         members = [a, *sorted(ranked[: lo - 1]), *sorted(extra)]
         coalitions.append(members)
-        available.difference_update(members)
+        _strike(free, members[1:])
         x -= max(0, len(members) - lo)
-    rest = sorted(available)
     for members in reversed(coalitions):
         room = hi - len(members)
-        members += rest[:room]
-        del rest[:room]
-    assert not rest, "k-partition capacity check guarantees room for everyone"
+        members += free[:room]
+        del free[:room]
+    assert not free, "k-partition capacity check guarantees room for everyone"
     return Partition(coalitions)
 
 
@@ -251,9 +277,10 @@ def cis_star_nonneg(game: Game, bounds: SizeBounds, k: int) -> Partition | None:
     leader (lowest available id) joins the coalition maximizing its utility
     together with its best friends, subject to each coalition's admission
     budget r = min(x + max(0, lower - size), upper - size) which reserves
-    room to bring every coalition up to the lower bound.  When no join
-    strictly beats utility 0, the leader enters the first coalition that can
-    still admit anyone, alone.
+    room to bring every coalition up to the lower bound; only a coalition
+    with r >= 1 can take it.  Ties go to the earliest coalition, so when
+    every admissible option is worth 0 (no friend can come along), the
+    leader enters the first coalition that can still admit anyone, alone.
 
     Requires a lower bound of at least 2, for the same reason as the
     nonzero-valuations variant.
@@ -261,40 +288,31 @@ def cis_star_nonneg(game: Game, bounds: SizeBounds, k: int) -> Partition | None:
     if not _k_partition_exists(game, bounds, k, game.is_nonnegative, "nonnegative"):
         return None
     lo, hi = bounds.lower, bounds.upper
-    available: set[int] = set(game.agents)
+    free = list(game.agents)
     coalitions: list[list[int]] = [[] for _ in range(k)]
     x = game.n - lo * k
     opened = 0  # coalitions with members
-    while available:
-        a = min(available)
+    for a in _leaders(free):
         row = game.row(a)
-        ranked = ranking(game, a, friends(game, a, available))
+        ranked = _rank(row, [b for b in free if row[b] > 0])
         prefix = [0, *accumulate(map(row.__getitem__, ranked))]
-        # by coalition size: the admission budget r, and what the r - 1 best
-        # friends bring along (-inf when r < 1, so the coalition never wins)
+        # by coalition size, the admission budget r: a coalition with r >= 1
+        # can take the leader and the r - 1 best friends
         budget = [min(x + max(0, lo - s), hi - s) for s in range(hi + 1)]
-        bring = [prefix[min(r - 1, len(ranked))] if r >= 1 else -inf for r in budget]
         # a leader takes the earliest of equal options, so the empty coalitions
-        # are always the last ones, and the first of them stands for them all
-        options = coalitions[: opened + 1]
-        sizes = list(map(len, options))
-        worth = map(sum, map(map, repeat(row.__getitem__), options))  # row sum of each
-        gains = list(map(add, worth, map(bring.__getitem__, sizes)))
-        best = max(gains)
-        if best > 0:
-            target = gains.index(best)
-            helpers = sorted(ranked[: budget[sizes[target]] - 1])
-        else:
-            target = next((i for i, s in enumerate(sizes) if budget[s] >= 1), None)
-            assert target is not None, "size deficits plus x always cover the pool"
-            helpers = []
-        members = coalitions[target]
+        # are always the last ones, and the first of them stands for them all;
+        # size deficits plus x always leave one option a budget of 1 or more
+        options = [m for m in coalitions[: opened + 1] if budget[len(m)] >= 1]
+        gains = [sum(map(row.__getitem__, m)) + prefix[min(budget[len(m)] - 1, len(ranked))]
+                 for m in options]
+        members = options[gains.index(max(gains))]
+        helpers = sorted(ranked[: budget[len(members)] - 1])
         if not members:
             opened += 1
         x -= max(0, 1 + len(helpers) - max(0, lo - len(members)))
         members.append(a)
         members.extend(helpers)
-        available.difference_update((a, *helpers))
+        _strike(free, helpers)
     return Partition(coalitions)
 
 

@@ -5,11 +5,14 @@ blocks of every constructive algorithm in the package.  All functions are
 pure.
 
 An agent ranks others by its valuation, highest first, and breaks ties
-toward the lowest agent id.  That rule is stated once: ``_ids`` lists the
-pool in increasing id order, ``ranking`` sorts that list stably by
-valuation, and ``favorite`` takes its first maximum without a sort.  Every
-other selector and solver reads its choices from these two, which makes
-every algorithm in the package deterministic.
+toward the lowest agent id.  That rule is stated once, on a list of ids in
+increasing order that does not hold the agent: ``_rank`` sorts it stably
+by the agent's row, highest first, and ``_best`` takes its first maximum
+without a sort.  ``ranking`` and ``favorite`` apply the two to any pool,
+which ``_ids`` first lists in increasing id order; the leader solvers of
+``algorithms`` apply them to their free lists, which are id-ordered
+already.  Every other selector and solver reads its choices from these,
+which makes every algorithm in the package deterministic.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ def ranking(game: Game, agent: int, pool: Iterable[int]) -> list[int]:
     id: a stable sort of the ids in increasing order.  Repeated ids count
     once.
     """
-    return sorted(_ids(agent, pool), key=game.row(agent).__getitem__, reverse=True)
+    return _rank(game.row(agent), _ids(agent, pool))
 
 
 def favorite(game: Game, agent: int, pool: Iterable[int]) -> int | None:
@@ -52,13 +55,21 @@ def favorite(game: Game, agent: int, pool: Iterable[int]) -> int | None:
     One pass instead of a sort: ``max`` keeps the first of equal values,
     and in increasing id order that is the lowest id.
     """
-    return max(_ids(agent, pool), key=game.row(agent).__getitem__, default=None)
+    return _best(game.row(agent), _ids(agent, pool))
 
 
 def _ids(agent: int, pool: Iterable[int]) -> list[int]:
     ids = set(pool)
     ids.discard(agent)
     return sorted(ids)
+
+
+def _rank(row: list[int], ids: Iterable[int]) -> list[int]:
+    return sorted(ids, key=row.__getitem__, reverse=True)
+
+
+def _best(row: list[int], ids: Iterable[int]) -> int | None:
+    return max(ids, key=row.__getitem__, default=None)
 
 
 def top_set(game: Game, agent: int, pool: Iterable[int], k: int) -> list[int]:

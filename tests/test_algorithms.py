@@ -368,6 +368,13 @@ def test_aziz_reference_absorbs_a_latecomer():
     assert aziz_reference(Game(3, {(2, 1): 5, (2, 3): 1})) == Partition([[1, 2, 3]])
 
 
+def test_aziz_reference_leaves_a_latecomer_nobody_likes():
+    # agent 3 joins 1 2, whom it likes; agent 4 harms nobody there but
+    # benefits nobody either, so it is not absorbed
+    game = Game(4, {(1, 2): 1, (3, 1): 1})
+    assert aziz_reference(game) == Partition([[1, 2, 3], [4]])
+
+
 class TestDynamicsCycle:
     def test_directed_triangle_cycle_is_reported(self):
         g, b = cycle_no_is_star(3), SizeBounds(1, 2)

@@ -178,6 +178,8 @@ class TestHonestBudgets:
             (star_no_cis(3), SizeBounds(3, 4), Concept.CIS, 6),
             (pairs_triangle_no_cns_star(3), SizeBounds(3, 5), Concept.CNS_STAR, 94),
             (star_no_cis(2), SizeBounds(2, 3), Concept.CIS_STAR, 2),
+            # negative valuations at 1:3, where the sign rule prunes
+            (random_game(random.Random(1), 7), SizeBounds(1, 3), Concept.NS, 52),
         ],
     )
     def test_exists_stable_step_counts_are_pinned(self, game, bounds, concept, steps):
