@@ -4,18 +4,42 @@ All three oracles run one leader-first depth-first search (``_search``): the
 lowest unassigned agent always leads the next coalition, and its candidate
 coalitions are tried in lexicographic order of their member tuples, so the
 partitions are reached strictly increasing under the canonical key and none
-twice.  The candidates come from one loop over a stack of indices.  Branches
+twice.  The candidates come from one loop over a stack of indices
+(``_coalition_candidates``), the one statement of their order.  Branches
 whose residual agent count cannot be partitioned within the bounds are
-pruned arithmetically.  A remainder of fewer than 2L agents can only be
-closed by one coalition, all of it, so its frame tries that coalition alone
-and counts the candidates the loop would have built around it by formula:
-the r - L + 1 chain prefixes up to and including the whole remainder of r
-agents before it, and the unfit rest after it.  Each caller passes a prune
-hook that rejects a candidate or returns a value, which the search keeps
-beside the coalition on its stack.  The leaves a caller keeps become
-``Partition`` objects through a trusted constructor, since the search
-builds them in canonical form; a leaf builds its agent index only when
-first asked.  The search alone counts steps, candidates tried or complete
+pruned arithmetically: a candidate whose remainder does not fit is counted
+and dropped.
+
+A frame with no prefix test has the same candidates, position for
+position, as any other frame of its size m.  So a frame below the root
+with no prefix test (no twin held back, no sign rule) and an upper bound
+of at least 3 reads them from the call's table for size m, which
+``_size_table`` builds the first time such a frame is reached by running
+the loop once over the positions 0..m-1.  An entry keeps a candidate whose
+remainder fits: C-level getters for its agents and for the rest, which are
+the child frame's agents, the remainder's size, and the steps it stands
+for, itself and the unfit candidates just before it.  The table also keeps
+the unfit candidates after its last entry, so the step count, and every
+budget verdict, is the loop's.  A call's tables hold at most
+``_TABLE_CAP`` (2,048) entries: size m gets a table only when the sizes
+1..m have at most that many candidates in all, the sum of C(m, s) over
+the coalition sizes s, which every size below the root of a default-budget
+search (12 agents) meets.  Other frames run the loop.  The rule reads only
+the frame's own prefix test, size and bounds; on the ``exhaustive``
+benchmark, tables at U = 2 and a table for the root, which is visited
+once, cost more than they saved.
+
+A remainder of fewer than 2L agents can only be closed by one coalition,
+all of it, so the search tries that coalition in place, with no frame
+pushed, and counts the candidates a frame would have built around it by
+formula: the r - L + 1 chain prefixes up to and including the whole
+remainder of r agents before it, and the unfit rest after it.
+
+Each caller passes a prune hook that rejects a candidate or returns a
+value, which the search keeps beside the coalition on its stack.  The
+leaves a caller keeps become ``Partition`` objects through a trusted
+constructor, since the search builds them in canonical form; a leaf builds
+its agent index only when first asked.  The search alone counts steps, candidates tried or complete
 partitions reached, and raises ``BudgetExceededError`` past its cap;
 ``EnumerationBudget`` says which step each oracle counts.
 
@@ -89,8 +113,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .model import Game, Partition, SizeBounds, feasible_partition_exists
+from .model import Game, Partition, SizeBounds, _check_agent_count, feasible_partition_exists
 from .stability import Concept, _coalition_rules, verify
 
 
@@ -132,6 +157,11 @@ class EnumerationBudget:
 
 
 DEFAULT_BUDGET = EnumerationBudget()
+
+
+# The most candidates a call's size tables may hold: every table below the
+# root of a search within the default budget's 12 agents.
+_TABLE_CAP = 2048
 
 
 def _checked_budget(n: int, budget: EnumerationBudget | None) -> EnumerationBudget:
@@ -225,6 +255,37 @@ def _twin_below(rows: list[list[int]], n: int) -> list[int] | None:
     return below if any(below) else None
 
 
+def _getter(positions) -> itemgetter:
+    # an itemgetter of one position returns the item, so that one takes a slice
+    if len(positions) == 1:
+        return itemgetter(slice(positions[0], positions[0] + 1))
+    return itemgetter(*positions)
+
+
+def _size_table(m: int, bounds: SizeBounds, fits: list[bool]):
+    """The candidates of a frame of m agents with no prefix test, by position.
+
+    Runs ``_coalition_candidates`` once over the positions 0..m-1.  For each
+    candidate whose remainder r fits (``fits[r]``) it keeps ``(members,
+    rest, r, steps)``: getters that take the candidate's and the remainder's
+    agents from the frame's tuple (the latter None when r = 0), and the steps
+    the candidate stands for, itself and the unfit candidates just before
+    it.  Returns the entries and the number of unfit candidates after the
+    last one.
+    """
+    entries = []
+    unfit = 0
+    for cand in _coalition_candidates(0, range(1, m), bounds):
+        r = m - len(cand)
+        if fits[r]:
+            rest = [i for i in range(m) if i not in cand]
+            entries.append((_getter(cand), _getter(rest) if r else None, r, unfit + 1))
+            unfit = 0
+        else:
+            unfit += 1
+    return entries, unfit
+
+
 def _search(
     n: int,
     bounds: SizeBounds,
@@ -254,7 +315,7 @@ def _search(
             raise _exceeded(max_leaves)
         yield chosen
         return
-    lower = bounds.lower
+    lower, upper = bounds.lower, bounds.upper
     fits = [feasible_partition_exists(r, bounds) for r in range(n + 1)]
     # remainder -> (candidates counted up to it, after it); such an r fits
     # only as one coalition, so r <= U and every size from L to r is a candidate
@@ -263,6 +324,7 @@ def _search(
         for r in range(1, min(n, 2 * lower - 1) + 1)
         if fits[r]
     }
+    tables: dict[int, tuple[list, int] | bool] = {}  # size -> its table, or False
     tried = leaves = 0
     value = None
 
@@ -281,16 +343,31 @@ def _search(
                         caller is None or caller(prefix)
                     )
 
-        return avail, _coalition_candidates(avail[0], avail[1:], bounds, viable), 0
+        m = len(avail)
+        if viable is None and upper >= 3 and m < n:
+            if m not in tables:
+                # the sizes 1..m have sum C(m, s) candidates in all, so the
+                # tables a call builds hold at most _TABLE_CAP entries
+                fit = sum(math.comb(m, s) for s in range(lower, upper + 1)) <= _TABLE_CAP
+                tables[m] = fit and _size_table(m, bounds, fits)
+            if tables[m]:
+                entries, unfit = tables[m]
+                return tuple(avail), iter(entries), unfit, True
+        return avail, _coalition_candidates(avail[0], avail[1:], bounds, viable), 0, False
 
     frames = [frame(list(range(1, n + 1)))]
     while frames:
-        avail, cands, behind = frames[-1]
+        avail, cands, behind, table = frames[-1]
         for cand in cands:
-            tried += 1
+            if table:
+                members, out, remaining, steps = cand
+                cand = members(avail)
+                tried += steps
+            else:
+                tried += 1
+                remaining = len(avail) - len(cand)
             if tried > max_tried:
                 raise _exceeded(max_tried)
-            remaining = len(avail) - len(cand)
             if not fits[remaining]:
                 continue
             if not remaining:
@@ -306,14 +383,26 @@ def _search(
                 yield chosen
                 chosen.pop()
                 continue
-            rest = [a for a in avail if a not in cand]
-            if remaining in closing:
-                ahead, behind = closing[remaining]
-                tried += ahead - 1  # the loop counts the whole remainder itself
-                frames.append((rest, [tuple(rest)], behind))
-            else:
+            rest = out(avail) if table else [a for a in avail if a not in cand]
+            if remaining not in closing:
                 frames.append(frame(rest))
-            break
+                break
+            # the remainder closes as one coalition, all of it, tried here;
+            # the candidates a frame would build around it are counted by formula
+            ahead, after = closing[remaining]
+            tried += ahead
+            if tried > max_tried:
+                raise _exceeded(max_tried)
+            leaves += 1
+            if leaves > max_leaves:
+                raise _exceeded(max_leaves)
+            closer = tuple(rest)
+            if admit is None or (value := admit(closer, rest, chosen)) is not None:
+                chosen.append((closer, value))
+                yield chosen
+                chosen.pop()
+            tried += after  # checked by the next candidate or the frame's end
+            chosen.pop()
         else:
             tried += behind
             if tried > max_tried:
@@ -332,7 +421,12 @@ def _coalitions(chosen: list[tuple[tuple[int, ...], object]]) -> list[tuple[int,
 def enumerate_partitions(
     n: int, bounds: SizeBounds, budget: EnumerationBudget | None = None
 ):
-    """Yield every bound-respecting partition of agents 1..n once, in canonical order."""
+    """Yield every bound-respecting partition of agents 1..n once, in canonical order.
+
+    A bad agent count raises ``Game``'s ``ValueError`` when this is called,
+    as the budget check does, not when the stream is read.
+    """
+    _check_agent_count(n)
     budget = _checked_budget(n, budget)
     return (
         Partition._from_canonical(_coalitions(chosen))

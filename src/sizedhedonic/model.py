@@ -69,10 +69,7 @@ class Game:
         valuations: Mapping[tuple[int, int], int] | None = None,
         symmetric: bool = False,
     ) -> None:
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError(f"agent count must be an integer, got {n!r}")
-        if n < 0:
-            raise ValueError("agent count must be nonnegative")
+        _check_agent_count(n)
         self.n = n
         self.symmetric = symmetric
         table = [[0] * (n + 1) for _ in range(n + 1)]
@@ -200,6 +197,14 @@ def _asymmetric_pair(table: list[list[int]]) -> tuple[int, int] | None:
         if row != list(column):
             return a, next(b for b in range(a + 1, len(row)) if row[b] != column[b])
     return None
+
+
+def _check_agent_count(n: object) -> None:
+    """Raise the package's error unless ``n`` is a nonnegative integer (no bool)."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"agent count must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError("agent count must be nonnegative")
 
 
 def _check_ids(ids: Iterable[object]) -> None:

@@ -33,12 +33,13 @@ written.  Once the body is read, ``_adopt`` sets each None back to 0 (only
 when the memo holds a zero) and adopts the table as the ``Game``.  A
 canonical game file (ASCII, ``\n`` line breaks, the header on the first
 line with any whitespace between its tokens, and then only ``v i j w``
-lines, as ``serialize_game`` writes) is parsed in bulk, a few kilobytes at
-a time, and finds a repeated pair or a self-valuation by counting the
-cells that are not 0 once the body is read (``_parse_canonical_game``).
-Every other game text is parsed line by line, where a pair is a repeat
-when its cell is not 0 (``_parse_game_lines``), with identical results and
-errors.  Neither pass keeps any per-cell structure besides the table.
+lines, as ``serialize_game`` writes) longer than one chunk of a few
+kilobytes is parsed in bulk, a chunk at a time, and finds a repeated pair
+or a self-valuation by counting the cells that are not 0 once the body is
+read (``_parse_canonical_game``).  Every other game text, a text of one
+chunk included, is parsed line by line, where a pair is a repeat when its
+cell is not 0 (``_parse_game_lines``), with identical results and errors.
+Neither pass keeps any per-cell structure besides the table.
 """
 
 from __future__ import annotations
@@ -107,15 +108,17 @@ def _build(constructor, *args):
 def parse_game(text: str) -> Game:
     """Parse the game format into a ``Game``.
 
-    A canonical text, such as ``serialize_game`` writes, is read in bulk by
+    A canonical text, such as ``serialize_game`` writes, of more than one
+    chunk (``_CHUNK`` characters) is read in bulk by
     ``_parse_canonical_game``.  Any other text, and every text with an
-    error in its body, is read by the line loop ``_parse_game_lines``.
+    error in its body, is read by the line loop ``_parse_game_lines``,
+    which is the faster of the two on a text of one chunk.
     Both build the same table.  A header error is raised by
     ``_game_header``, which both passes call on the same tokens and line
     number; only the line loop raises a body error.  So each error keeps
     its text and line number.
     """
-    game = _parse_canonical_game(text)
+    game = None if len(text) <= _CHUNK else _parse_canonical_game(text)
     return game if game is not None else _parse_game_lines(text)
 
 

@@ -28,7 +28,7 @@ from sizedhedonic import (
     x3c_to_ns_bounded,
 )
 from sizedhedonic import exact
-from sizedhedonic.model import Game
+from sizedhedonic.model import Game, feasible_partition_exists
 
 from conftest import (
     dumb_set_partitions,
@@ -196,6 +196,8 @@ class TestHonestBudgets:
             (star_no_cis(6), SizeBounds(6, 7), Concept.CIS, 6),
             (cycle_no_is_star(10), SizeBounds(3, 4), Concept.IS_STAR, 5320),
             (intro_positive(3), SizeBounds(2, 3), Concept.NS_STAR, 3),
+            # frames of 7 and 8 agents read size tables; that of 8 ends in two unfit candidates
+            (cycle_no_is_star(11), SizeBounds(3, 4), Concept.IS_STAR, 10485),
         ],
     )
     def test_closing_frame_step_counts_are_pinned(self, game, bounds, concept, steps):
@@ -251,6 +253,56 @@ class TestFactsOncePerSearch:
         assert exists_stable(cycle_no_is_star(9), SizeBounds(2, 4), Concept.IS_STAR) is None
         assert len(admitted) > len(set(admitted))  # the search meets coalitions again
         assert recorded == list(dict.fromkeys(admitted))
+
+
+class TestSizeTables:
+    # a frame with no prefix test reads its candidates from the table of its
+    # size, built once per call over the positions 0..m-1
+
+    def test_tables_list_what_the_generator_yields(self, rng):
+        for m in range(1, 13):
+            ids = tuple(sorted(rng.sample(range(1, 3 * m + 1), m)))
+            for lower in range(1, m + 1):
+                for upper in range(max(lower, 3), m + 1):
+                    bounds = SizeBounds(lower, upper)
+                    fits = [feasible_partition_exists(r, bounds) for r in range(m + 1)]
+                    expected, unfit = [], 0  # fitting candidates, unfit ones just before
+                    for cand in exact._coalition_candidates(ids[0], list(ids[1:]), bounds):
+                        r = m - len(cand)
+                        if fits[r]:
+                            rest = tuple(a for a in ids if a not in cand)
+                            expected.append((cand, rest, r, unfit))
+                            unfit = 0
+                        else:
+                            unfit += 1
+                    entries, trailing = exact._size_table(m, bounds, fits)
+                    listed = [
+                        (members(ids), out(ids) if r else (), r, steps - 1)
+                        for members, out, r, steps in entries
+                    ]
+                    assert listed == expected and trailing == unfit, (m, bounds)
+                    assert all(out is None for _, out, r, _ in entries if not r)
+
+    def test_a_call_holds_at_most_the_cap(self, monkeypatch):
+        # below the root of 13 agents at 1:13 the sizes 2..11 have tables of
+        # 2, 4, ..., 1,024 entries; size 12 would take 2,048 more
+        built = []
+        size_table = exact._size_table
+
+        def recorded(m, bounds, fits):
+            table = size_table(m, bounds, fits)
+            built.append((m, len(table[0])))
+            return table
+
+        monkeypatch.setattr(exact, "_size_table", recorded)
+        bounds, budget = SizeBounds(1, 13), EnumerationBudget(max_agents=13)
+        tabled = list(islice(enumerate_partitions(13, bounds, budget), 3000))
+        assert sorted(built) == [(m, 2 ** (m - 1)) for m in range(2, 12)]
+        assert sum(entries for _, entries in built) == 2046 <= exact._TABLE_CAP
+        monkeypatch.setattr(exact, "_TABLE_CAP", 0)
+        built.clear()
+        assert list(islice(enumerate_partitions(13, bounds, budget), 3000)) == tabled
+        assert built == []
 
 
 class TestTrustedLeaves:

@@ -9,6 +9,7 @@ from sizedhedonic import (
     Game,
     Partition,
     SizeBounds,
+    enumerate_partitions,
     feasibility_threshold,
     feasible_k_partition_exists,
     feasible_partition_exists,
@@ -37,15 +38,20 @@ class TestGame:
         with pytest.raises(ValueError):
             Game(2, {(1, 3): 1})
 
-    @pytest.mark.parametrize("n", [True, False, 2.0, "3", None])
+    @pytest.mark.parametrize("n", [True, False, 2.0, "3", None, 1.5])
     def test_non_integer_agent_count_rejected(self, n):
         message = f"^agent count must be an integer, got {re.escape(repr(n))}$"
         with pytest.raises(ValueError, match=message):
             Game(n)
+        # the enumeration states the same rule, on the call and not on the first read
+        with pytest.raises(ValueError, match=message):
+            enumerate_partitions(n, SizeBounds(1, 2))
 
     def test_negative_agent_count_rejected(self):
         with pytest.raises(ValueError, match="^agent count must be nonnegative$"):
             Game(-1)
+        with pytest.raises(ValueError, match="^agent count must be nonnegative$"):
+            enumerate_partitions(-1, SizeBounds(1, 2))
 
     @pytest.mark.parametrize("w", [1.5, True, "2"])
     def test_non_integer_valuation_rejected(self, w):

@@ -564,6 +564,20 @@ def test_repeat_in_a_later_chunk_is_caught():
         assert info.value.line == text.count("\n") + 1
 
 
+def test_a_text_of_one_chunk_takes_the_line_loop(monkeypatch):
+    # the line loop is the faster pass on a text of one chunk
+    g = Game(12, {(a, b): a - b for a in range(1, 13) for b in range(1, 13) if a != b})
+    text = serialize_game(g)
+    assert len(text) <= textio._CHUNK
+    assert textio._parse_canonical_game(text) == g
+
+    def bulk(text):
+        raise AssertionError("the bulk pass ran on a text of one chunk")
+
+    monkeypatch.setattr(textio, "_parse_canonical_game", bulk)
+    assert parse_game(text) == g
+
+
 def test_canonical_200_agent_text_takes_the_bulk_pass(monkeypatch):
     import random
 
