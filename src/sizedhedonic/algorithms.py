@@ -33,12 +33,25 @@ ranking's head with ``prefs._best``.
 
 from __future__ import annotations
 
+__all__ = [
+    "DynamicsCycleError",
+    "NotSymmetricError",
+    "TraceEntry",
+    "aziz_reference",
+    "cis_star_nonneg",
+    "cis_star_nonzero",
+    "cis_upper",
+    "cns_pairs",
+    "dynamics_steps",
+    "symmetric_dynamics",
+]
+
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from typing import Iterable, Iterator
 
-from .model import Game, Partition, SizeBounds, feasible_k_partition_exists
+from .model import Game, Partition, SizeBounds, _check_int, feasible_k_partition_exists
 from .prefs import _best, _rank, friends, utility
 from .stability import Concept, Deviation, apply_deviation, verify
 
@@ -106,6 +119,7 @@ def cis_upper(game: Game, upper: int) -> tuple[Partition, tuple[TraceEntry, ...]
     Running with ``upper = n`` computes a CIS partition of the unconstrained
     game.  Returns the partition and the log of leader decisions.
     """
+    _check_int(upper, "upper bound")
     if upper < 2:
         raise ValueError("upper bound must be at least 2")
     free = list(game.agents)
@@ -214,11 +228,13 @@ def cns_pairs(game: Game) -> Partition:
 def _k_partition_exists(game: Game, bounds: SizeBounds, k: int, signs_hold, signs: str) -> bool:
     """The preconditions both k-coalition CIS* solvers share, checked in order.
 
-    Raises ``ValueError`` for a negative count, a lower bound below 2, or
-    valuations whose signs fail ``signs_hold``; otherwise reports whether a
-    bound-respecting partition of the agents into k coalitions exists (for
-    k = 0 only the empty game has one, the empty partition).
+    Raises ``ValueError`` for a count that is no integer or is negative, a
+    lower bound below 2, or valuations whose signs fail ``signs_hold``;
+    otherwise reports whether a bound-respecting partition of the agents
+    into k coalitions exists (for k = 0 only the empty game has one, the
+    empty partition).
     """
+    _check_int(k, "coalition count")
     if k < 0:
         raise ValueError("coalition count must be nonnegative")
     if bounds.lower < 2:

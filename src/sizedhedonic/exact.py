@@ -111,6 +111,14 @@ per remainder reached.  Every memo lives as long as the call.
 
 from __future__ import annotations
 
+__all__ = [
+    "BudgetExceededError",
+    "EnumerationBudget",
+    "enumerate_partitions",
+    "exists_stable",
+    "max_welfare_partition",
+]
+
 import math
 from dataclasses import dataclass
 from operator import itemgetter

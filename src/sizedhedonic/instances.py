@@ -7,6 +7,17 @@ serialized golden files stay stable.
 
 from __future__ import annotations
 
+__all__ = [
+    "FAMILIES",
+    "aziz_failure",
+    "cycle_no_is_star",
+    "intro_negative",
+    "intro_positive",
+    "make_instance",
+    "pairs_triangle_no_cns_star",
+    "star_no_cis",
+]
+
 from .model import Game
 
 def intro_positive(k: int) -> Game:

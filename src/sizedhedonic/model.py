@@ -16,6 +16,19 @@ between two size bounds that overwrite it costs a rebuild, never a wrong scan.
 
 from __future__ import annotations
 
+__all__ = [
+    "Game",
+    "InfeasiblePartitionError",
+    "Partition",
+    "SizeBounds",
+    "feasibility_threshold",
+    "feasible_k_partition_exists",
+    "feasible_partition_exists",
+    "greedy_feasible_partition",
+    "is_feasible_partition",
+    "singleton_partition",
+]
+
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -199,10 +212,15 @@ def _asymmetric_pair(table: list[list[int]]) -> tuple[int, int] | None:
     return None
 
 
+def _check_int(value: object, what: str) -> None:
+    """Raise the package's error, naming ``what``, unless ``value`` is an integer (no bool)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_agent_count(n: object) -> None:
     """Raise the package's error unless ``n`` is a nonnegative integer (no bool)."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"agent count must be an integer, got {n!r}")
+    _check_int(n, "agent count")
     if n < 0:
         raise ValueError("agent count must be nonnegative")
 
@@ -343,6 +361,7 @@ class Partition:
 
 
 def singleton_partition(n: int) -> Partition:
+    _check_agent_count(n)
     return Partition([a] for a in range(1, n + 1))
 
 

@@ -1,21 +1,23 @@
 """Utility evaluation, social welfare, and agent-set selectors.
 
-The selectors (ranking, best-k subset, friends, enemies) are the building
-blocks of every constructive algorithm in the package.  All functions are
-pure.
+The selectors (best-k subset, friends, enemies) and the ranking helpers
+below are the building blocks of every constructive algorithm in the
+package.  All functions are pure.
 
 An agent ranks others by its valuation, highest first, and breaks ties
 toward the lowest agent id.  That rule is stated once, on a list of ids in
 increasing order that does not hold the agent: ``_rank`` sorts it stably
 by the agent's row, highest first, and ``_best`` takes its first maximum
-without a sort.  ``ranking`` and ``favorite`` apply the two to any pool,
-which ``_ids`` first lists in increasing id order; the leader solvers of
-``algorithms`` apply them to their free lists, which are id-ordered
-already.  Every other selector and solver reads its choices from these,
-which makes every algorithm in the package deterministic.
+without a sort.  ``top_set`` ranks any pool, which ``_ids`` first lists in
+increasing id order; the leader solvers of ``algorithms`` apply both to
+their free lists, which are id-ordered already.  Every other selector and
+solver reads its choices from these, which makes every algorithm in the
+package deterministic.
 """
 
 from __future__ import annotations
+
+__all__ = ["enemies", "friends", "social_welfare", "top_set", "utility"]
 
 from typing import Iterable
 
@@ -39,25 +41,6 @@ def social_welfare(game: Game, partition: Partition) -> int:
     return sum(utility(game, a, c) for c in partition for a in c)
 
 
-def ranking(game: Game, agent: int, pool: Iterable[int]) -> list[int]:
-    """The members of ``pool`` other than ``agent``, best first.
-
-    Ordered by the agent's valuation, highest first, ties toward the lowest
-    id: a stable sort of the ids in increasing order.  Repeated ids count
-    once.
-    """
-    return _rank(game.row(agent), _ids(agent, pool))
-
-
-def favorite(game: Game, agent: int, pool: Iterable[int]) -> int | None:
-    """The first of the agent's ``ranking`` of ``pool``; None when there is none.
-
-    One pass instead of a sort: ``max`` keeps the first of equal values,
-    and in increasing id order that is the lowest id.
-    """
-    return _best(game.row(agent), _ids(agent, pool))
-
-
 def _ids(agent: int, pool: Iterable[int]) -> list[int]:
     ids = set(pool)
     ids.discard(agent)
@@ -75,11 +58,11 @@ def _best(row: list[int], ids: Iterable[int]) -> int | None:
 def top_set(game: Game, agent: int, pool: Iterable[int], k: int) -> list[int]:
     """Up to ``k`` agents of ``pool`` (minus ``agent``) that the agent values most.
 
-    The first ``k`` of the agent's ``ranking`` of the pool, sorted by id:
+    The first ``k`` of the agent's ranking of the pool, sorted by id:
     all of pool minus the agent when it has fewer than k members, and none
     for k <= 0.
     """
-    return sorted(ranking(game, agent, pool)[: max(k, 0)])
+    return sorted(_rank(game.row(agent), _ids(agent, pool))[: max(k, 0)])
 
 
 def friends(game: Game, who: int | Iterable[int], pool: Iterable[int]) -> set[int]:

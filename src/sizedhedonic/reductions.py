@@ -21,6 +21,17 @@ games are reproducible, and every agent's label is recorded in the result.
 
 from __future__ import annotations
 
+__all__ = [
+    "InvalidCertificateError",
+    "MMMInstance",
+    "ReducedGame",
+    "X3CInstance",
+    "mmm_to_ns_is",
+    "witness_partition",
+    "x3c_to_cns",
+    "x3c_to_ns_bounded",
+]
+
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Sequence

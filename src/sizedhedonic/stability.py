@@ -67,6 +67,20 @@ coalitions.
 
 from __future__ import annotations
 
+__all__ = [
+    "ALL_CONCEPTS",
+    "FEASIBLE",
+    "IMPLICATIONS",
+    "PERMISSIBLE",
+    "Concept",
+    "Deviation",
+    "StabilityReport",
+    "apply_deviation",
+    "blocking_check",
+    "candidate_deviations",
+    "verify",
+]
+
 import enum
 from bisect import bisect_left
 from collections.abc import Iterator

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import islice
 
 import pytest
@@ -205,6 +206,21 @@ def test_k_coalition_solvers_split_the_empty_game_into_zero_coalitions():
         assert solver(friends, b, 0) is None
         with pytest.raises(ValueError):
             solver(friends, b, -1)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.5, 3.0, True, "2", None])
+def test_non_integer_coalition_count_and_upper_bound_rejected(value):
+    # a float k once read as no partition, or raised a raw error from islice
+    got = re.escape(repr(value))
+    friends = Game(6, {(a, c): 1 for a in range(1, 7) for c in range(1, 7) if a != c})
+    message = f"^coalition count must be an integer, got {got}$"
+    for solver in (cis_star_nonzero, cis_star_nonneg):
+        # the count is checked before the lower bound
+        for b in (SizeBounds(2, 3), SizeBounds(1, 3)):
+            with pytest.raises(ValueError, match=message):
+                solver(friends, b, value)
+    with pytest.raises(ValueError, match=f"^upper bound must be an integer, got {got}$"):
+        cis_upper(friends, value)
 
 
 def test_solvers_agree_on_the_empty_game():

@@ -46,12 +46,16 @@ class TestGame:
         # the enumeration states the same rule, on the call and not on the first read
         with pytest.raises(ValueError, match=message):
             enumerate_partitions(n, SizeBounds(1, 2))
+        with pytest.raises(ValueError, match=message):
+            singleton_partition(n)
 
     def test_negative_agent_count_rejected(self):
         with pytest.raises(ValueError, match="^agent count must be nonnegative$"):
             Game(-1)
         with pytest.raises(ValueError, match="^agent count must be nonnegative$"):
             enumerate_partitions(-1, SizeBounds(1, 2))
+        with pytest.raises(ValueError, match="^agent count must be nonnegative$"):
+            singleton_partition(-1)
 
     @pytest.mark.parametrize("w", [1.5, True, "2"])
     def test_non_integer_valuation_rejected(self, w):

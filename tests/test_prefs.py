@@ -14,7 +14,6 @@ from sizedhedonic import (
     utility,
 )
 from sizedhedonic.model import Game
-from sizedhedonic.prefs import favorite, ranking
 
 import solver_reference as reference
 from conftest import random_game
@@ -154,17 +153,6 @@ class TestSelectorsMatchTheReferences:
         expected = reference.top_set(game, agent, pool, k)
         for given_pool in (pool, set(pool), iter(pool)):
             assert top_set(game, agent, given_pool, k) == expected
-
-    @given(selector_cases())
-    @settings(max_examples=400, deadline=None)
-    def test_ranking_and_favorite(self, case):
-        game, agent, pool, _, _ = case
-        ranked = ranking(game, agent, iter(pool))
-        assert len(ranked) == len(set(pool) - {agent})
-        for k in range(len(ranked) + 1):
-            assert sorted(ranked[:k]) == reference.top_set(game, agent, pool, k)
-        best = reference.top_set(game, agent, pool, 1)
-        assert favorite(game, agent, iter(pool)) == (best[0] if best else None)
 
     @given(selector_cases())
     @settings(max_examples=400, deadline=None)

@@ -500,6 +500,11 @@ def test_parse_game_matches_line_loop(case):
         assert textio._parse_canonical_game(text) == textio._parse_game_lines(text)
 
 
+# A canonical 60-agent body of about nine chunks.
+_SEVERAL_CHUNKS = "".join(
+    f"v {a} {b} {a - b}\n" for a in range(1, 61) for b in range(1, 61) if a != b
+)
+
 # Texts on which a bulk pass that missed one of its checks would differ from
 # the line loop, valid ones among them.
 EDGE_GAME_TEXTS = [
@@ -520,6 +525,9 @@ EDGE_GAME_TEXTS = [
     "ashg 3\nv  1 2 3\nv\t2 1 3\nv 3 1 3 \n",
     "ashg 3\r\nv 1 2 3\r\n",
     "\nashg 3\nv 1 2 3\n",
+    # texts longer than one chunk reach the bulk pass, which reads the first line
+    pytest.param("\nashg 60\n" + _SEVERAL_CHUNKS, id="blank-first-line-several-chunks"),
+    pytest.param(" \t\nashg 60\n" + _SEVERAL_CHUNKS, id="whitespace-first-line-several-chunks"),
     "ashg +3\nv 1 2 3\n",
     "ashg 03\nv 1 2 3\n",
     "ashg 3 \nv 1 2 3\n",
