@@ -53,7 +53,7 @@ from typing import Iterable, Iterator
 
 from .model import Game, Partition, SizeBounds, _check_int, feasible_k_partition_exists
 from .prefs import _best, _rank, friends, utility
-from .stability import Concept, Deviation, apply_deviation, verify
+from .stability import Concept, Deviation, _carrying_sums, apply_deviation, verify
 
 
 class NotSymmetricError(ValueError):
@@ -345,14 +345,24 @@ def dynamics_steps(
     running forever.  A step whose deviator does not gain can only come of
     a defect in ``verify``, and raises ``RuntimeError`` rather than letting
     symmetric dynamics run on unguarded.
+
+    Once the first ``verify`` has validated ``partition`` and found it
+    unstable, the run goes on from a private copy that carries value sums
+    for ``game``: for each coalition, every agent's sum of valuations over
+    its members.  ``apply_deviation`` carries them to each step's partition
+    in O(n), and ``verify`` reads a move's value from them instead of
+    summing it (``stability`` module docstring).  ``partition`` is left as
+    it is; the yielded partitions carry the sums.  The visited record keys
+    on coalition tuples, and the partitions of a ``DynamicsCycleError``
+    carry no sums, so no step's sums outlive it.
     """
-    visited: dict[Partition, int] | None = None  # partition -> step index
+    visited: dict[tuple, int] | None = None  # coalitions -> step index
     if not game.has_symmetric_table():
-        visited = {partition: 0}
-    while True:
-        report = verify(game, partition, bounds, Concept.NS_STAR)
-        if report.stable:
-            return
+        visited = {partition.coalitions: 0}
+    report = verify(game, partition, bounds, Concept.NS_STAR)
+    if not report.stable:  # verify has validated the start
+        partition = _carrying_sums(game, partition)
+    while not report.stable:
         deviation = report.witness
         agent = deviation.agent
         before = utility(game, agent, partition.coalition_of(agent))
@@ -361,10 +371,13 @@ def dynamics_steps(
         if gain <= 0:  # every NS* witness gains
             raise RuntimeError(f"verify returned a witness without gain: {deviation}")
         if visited is not None:
-            if partition in visited:
-                raise DynamicsCycleError(tuple(visited)[visited[partition]:])
-            visited[partition] = len(visited)
+            key = partition.coalitions
+            if key in visited:
+                cycle = tuple(visited)[visited[key]:]
+                raise DynamicsCycleError(tuple(map(Partition._from_canonical, cycle)))
+            visited[key] = len(visited)
         yield deviation, gain, partition
+        report = verify(game, partition, bounds, Concept.NS_STAR)
 
 
 def symmetric_dynamics(

@@ -2,7 +2,7 @@
 
 Agents are dense integer ids 1..n.  Valuations are integers, so every
 utility comparison in the package is exact.  All types are immutable after
-construction and safe to share across threads.  A partition writes three
+construction and safe to share across threads.  A partition writes four
 private slots later.  Two of the writes are idempotent: a partition built
 by the trusted constructor (the exhaustive search's leaves, and each result
 of ``stability.apply_deviation``) works out its coalition sizes (with their
@@ -12,6 +12,12 @@ threads that race at either write each compute the same value, and either
 one may be kept.  The third, the open-target record, belongs to
 ``stability.verify``, whose module states what it holds and why a race
 between two size bounds that overwrite it costs a rebuild, never a wrong scan.
+The fourth, ``_sums``, holds a dynamics run's value sums: the game object
+they were summed for, its table by columns, and one column of sums per
+coalition (the ``stability`` module says how they are used).
+``algorithms.dynamics_steps`` and ``stability.apply_deviation`` write it
+once, on a partition they have just built, before it is shared; ``verify``
+reads it only for the game object it names.
 """
 
 from __future__ import annotations
@@ -241,7 +247,7 @@ class Partition:
     witnesses) refer to this canonical order.
     """
 
-    __slots__ = ("coalitions", "n", "_index", "_size_facts", "_open_record")
+    __slots__ = ("coalitions", "n", "_index", "_size_facts", "_open_record", "_sums")
 
     def __init__(self, coalitions: Iterable[Iterable[int]]) -> None:
         canon = []
@@ -285,7 +291,7 @@ class Partition:
         self.n = n
         self._index = index
         self._size_facts = (sizes, min(sizes, default=math.inf), max(sizes, default=0))
-        self._open_record = None
+        self._open_record = self._sums = None
 
     @classmethod
     def _from_canonical(cls, coalitions: list[tuple[int, ...]]) -> Partition:
@@ -303,7 +309,7 @@ class Partition:
         partition.coalitions = tuple(coalitions)
         partition.n = sum(map(len, coalitions))
         partition._index = None
-        partition._size_facts = partition._open_record = None
+        partition._size_facts = partition._open_record = partition._sums = None
         return partition
 
     def coalition_of(self, agent: int) -> tuple[int, ...]:
@@ -381,10 +387,9 @@ def feasible_partition_exists(n: int, bounds: SizeBounds) -> bool:
     coalitions of minimum size there is room for everyone, and no valid
     partition can have more coalitions than that.  Zero agents have exactly
     one partition, the empty one, so n = 0 holds for every ``bounds``.
-    Raises ``ValueError`` for a negative n.
+    Raises ``ValueError`` for an n that is no integer or is negative.
     """
-    if n < 0:
-        raise ValueError("agent count must be nonnegative")
+    _check_agent_count(n)
     return n <= (n // bounds.lower) * bounds.upper
 
 
@@ -393,8 +398,10 @@ def feasible_k_partition_exists(n: int, k: int, bounds: SizeBounds) -> bool:
 
     Holds exactly when k * lower <= n <= k * upper: so k = 0 holds only for
     n = 0 (the empty partition), and n = 0 only for k = 0.  Raises
-    ``ValueError`` for a negative n or k.
+    ``ValueError`` for an n or k that is no integer or is negative.
     """
+    _check_int(n, "agent count")
+    _check_int(k, "coalition count")
     if n < 0 or k < 0:
         raise ValueError("agent count and coalition count must be nonnegative")
     return k * bounds.lower <= n <= k * bounds.upper
@@ -421,8 +428,13 @@ def greedy_feasible_partition(agents: Iterable[int], bounds: SizeBounds) -> list
 
     Deterministic: forms floor(n / lower) blocks of minimum size in the given
     order, then tops them up left to right with the remaining agents.
+    Raises ``ValueError`` when ``agents`` is no iterable of integer ids.
     """
-    pool = list(agents)
+    try:
+        pool = list(agents)
+    except TypeError:
+        raise ValueError(f"agents must be an iterable of agent ids, got {agents!r}") from None
+    _check_ids(pool)
     n = len(pool)
     if not feasible_partition_exists(n, bounds):
         return None

@@ -21,7 +21,7 @@ __all__ = ["enemies", "friends", "social_welfare", "top_set", "utility"]
 
 from typing import Iterable
 
-from .model import Game, Partition
+from .model import Game, Partition, _check_int
 
 
 def utility(game: Game, agent: int, coalition: Iterable[int]) -> int:
@@ -60,8 +60,9 @@ def top_set(game: Game, agent: int, pool: Iterable[int], k: int) -> list[int]:
 
     The first ``k`` of the agent's ranking of the pool, sorted by id:
     all of pool minus the agent when it has fewer than k members, and none
-    for k <= 0.
+    for k <= 0.  Raises ``ValueError`` for a k that is no integer.
     """
+    _check_int(k, "k")
     return sorted(_rank(game.row(agent), _ids(agent, pool))[: max(k, 0)])
 
 

@@ -43,11 +43,18 @@ list index per member, and its moves counted without being listed.  Nor
 does the mover's utility u_a(source) depend on the target: ``verify``
 computes it once per agent, and each move then costs one C-level sum of
 the mover's row over its target, plus the joined veto where the concept
-has one.  Each checked move is still built as a ``Deviation``, and each
+has one.  A partition of a dynamics run carries value sums for its game
+(``algorithms.dynamics_steps``): for each coalition, the list of every
+agent's sum of valuations over its members.  On such a partition and that
+game object, ``verify`` reads u_a(source) and each move's value as list
+indexes instead of summing them; every other partition is summed as above.
+Each checked move is still built as a ``Deviation``, and each
 call returns a ``StabilityReport``: frozen dataclasses with slots whose
 ``__init__`` writes the slots directly, about 0.24 and 0.37 µs a build on
 Python 3.11.  ``apply_deviation`` edits the two coalitions a move touches
-and adopts the result through the trusted ``Partition._from_canonical``.
+and adopts the result through the trusted ``Partition._from_canonical``;
+on a carrying partition it also rebuilds the two coalitions' sums, O(n)
+each.
 
 The rules come in two forms, both stated here.  The move-level form
 (``_moves``, ``_abandoned_veto``, ``_joined_veto`` and ``blocking_check``)
@@ -85,6 +92,7 @@ import enum
 from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import add, sub
 
 from .model import (
     Game,
@@ -407,6 +415,9 @@ def verify(
     vetoes, joined = concept.abandoned_consent, concept.joined_consent
     coalitions = partition.coalitions
     rows = game._v  # rows[agent] is game.row(agent)
+    sums = partition._sums
+    # columns[i][a] is agent a's sum over coalition i, when the partition carries them
+    columns = sums[2] if sums is not None and sums[0] is game else None
     # the agents in the order of candidate_deviations
     for agent in range(1, partition.n + 1):
         source_idx = index[agent]
@@ -419,17 +430,31 @@ def verify(
             checked += len(targets) - (size < upper)  # every move of this agent is vetoed
             continue
         value = rows[agent].__getitem__
-        current = sum(map(value, source))  # row[agent] is 0
+        current = columns[source_idx][agent] if columns else sum(map(value, source))
         for deviation in _moves(agent, source_idx, targets):
             checked += 1
             target = deviation.target
             members = () if target is None else coalitions[target]
-            # the move of blocking_check: a strict gain, then the joined veto
-            if sum(map(value, members)) > current and not (
-                joined and _joined_veto(game, agent, members)
-            ):
+            # the move of blocking_check: a strict gain, then the joined veto; a
+            # new singleton has no members and is worth 0
+            worth = columns[target][agent] if columns and members else sum(map(value, members))
+            if worth > current and not (joined and _joined_veto(game, agent, members)):
                 return StabilityReport(concept, False, deviation, checked)
     return StabilityReport(concept, True, None, checked)
+
+
+def _carrying_sums(game: Game, partition: Partition) -> Partition:
+    """A trusted copy of ``partition`` that carries its value sums for ``game``.
+
+    The copy's ``_sums`` slot holds ``(game, table, columns)``: ``table[b][a]``
+    is v_a(b), the valuation table by columns, and ``columns[i][a]`` is agent
+    a's sum of valuations over coalition i.  ``partition`` must cover the
+    game's agents, as ``verify`` checks; nothing here checks it again.
+    """
+    table = game._v if game.symmetric else list(zip(*game._v))
+    copy = Partition._from_canonical(partition.coalitions)
+    copy._sums = game, table, [list(map(sum, zip(*map(table.__getitem__, c)))) for c in partition]
+    return copy
 
 
 def apply_deviation(partition: Partition, deviation: Deviation) -> Partition:
@@ -443,7 +468,12 @@ def apply_deviation(partition: Partition, deviation: Deviation) -> Partition:
     constructor: the mover is sliced out of its source (a singleton source
     is dropped) and inserted in order into its target, or added as a new
     singleton, and one sort puts the coalitions, which are disjoint, back
-    in order of their least members.
+    in order of their least members.  When ``partition`` carries value sums
+    (module docstring), so does the result: the mover's column of the
+    valuation table is taken from its source's sums and added to its
+    target's, a new singleton's sums are that column, a vanished
+    singleton's are dropped, the sums are sorted with their coalitions, and
+    the other coalitions' sums are shared with ``partition``.
     """
     agent = deviation.agent
     try:
@@ -471,5 +501,23 @@ def apply_deviation(partition: Partition, deviation: Deviation) -> Partition:
     else:
         at = source.index(agent)
         coalitions[source_idx] = source[:at] + source[at + 1 :]
-    coalitions.sort()
-    return Partition._from_canonical(coalitions)
+    sums = partition._sums
+    if sums is None:
+        coalitions.sort()
+        return Partition._from_canonical(coalitions)
+    game, table, columns = sums
+    column = table[agent]  # v_a(agent) for every agent a
+    columns = list(columns)
+    if target is None:
+        columns.append(column)
+    else:
+        columns[target] = list(map(add, columns[target], column))
+    if len(source) == 1:
+        del columns[source_idx]
+    else:
+        columns[source_idx] = list(map(sub, columns[source_idx], column))
+    # the coalitions are disjoint, so no two pairs get as far as their columns
+    coalitions, columns = zip(*sorted(zip(coalitions, columns)))
+    result = Partition._from_canonical(coalitions)
+    result._sums = game, table, columns
+    return result

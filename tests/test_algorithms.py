@@ -5,6 +5,7 @@ from itertools import islice
 import pytest
 
 from sizedhedonic import (
+    ALL_CONCEPTS,
     Concept,
     DynamicsCycleError,
     InfeasiblePartitionError,
@@ -22,6 +23,7 @@ from sizedhedonic import (
     dynamics_steps,
     exists_stable,
     feasible_k_partition_exists,
+    feasible_partition_exists,
     intro_negative,
     intro_positive,
     max_welfare_partition,
@@ -221,6 +223,8 @@ def test_non_integer_coalition_count_and_upper_bound_rejected(value):
                 solver(friends, b, value)
     with pytest.raises(ValueError, match=f"^upper bound must be an integer, got {got}$"):
         cis_upper(friends, value)
+    with pytest.raises(ValueError, match=message):
+        feasible_k_partition_exists(6, value, SizeBounds(2, 3))
 
 
 def test_solvers_agree_on_the_empty_game():
@@ -427,6 +431,74 @@ class TestDynamicsCycle:
                 assert apply_deviation(seen[-1], witness) == exc.cycle[0]
             else:
                 assert verify(g, seen[-1], b, Concept.NS_STAR).stable
+
+
+class TestCarriedSums:
+    """The value sums a dynamics run carries from step to step.
+
+    After ``verify`` has validated the start, ``dynamics_steps`` runs on a
+    private copy of it whose columns hold, for each coalition, every
+    agent's sum of valuations over its members, and ``apply_deviation``
+    carries them to each step's partition.  Here they are held against sums
+    from the table after every step, and ``verify`` on a carrying partition
+    against ``verify`` on a copy that carries none, under all eight
+    concepts.
+    """
+
+    @staticmethod
+    def table_sums(game, partition):
+        return [[sum(game.row(a)[b] for b in c) for a in range(game.n + 1)] for c in partition]
+
+    @staticmethod
+    def case(rng, symmetric, lower):
+        n = rng.randint(max(2, lower), 30)
+        while True:
+            bounds = SizeBounds(lower, rng.randint(max(2, lower), lower + 3))
+            if feasible_partition_exists(n, bounds):
+                break
+        game = random_game(rng, n, symmetric=symmetric)
+        return game, bounds, random_feasible_partition(rng, n, bounds)
+
+    def test_carried_sums_match_the_table_along_seeded_runs(self):
+        rng = random.Random(3500)
+        counts = dict.fromkeys(("steps", "formed", "vanished", "cycles", "ends"), 0)
+        for i in range(80):
+            g, b, init = self.case(rng, symmetric=i % 2 == 0, lower=(1, 1, 2, 3)[i % 4])
+            before = init
+            try:
+                for deviation, _, after in dynamics_steps(g, b, init):
+                    counts["steps"] += 1
+                    counts["formed"] += deviation.target is None
+                    counts["vanished"] += len(before.coalition_of(deviation.agent)) == 1
+                    carrier, _, columns = after._sums
+                    assert carrier is g
+                    assert list(map(list, columns)) == self.table_sums(g, after)
+                    plain = Partition(after.coalitions)
+                    for concept in ALL_CONCEPTS:
+                        assert verify(g, after, b, concept) == verify(g, plain, b, concept)
+                    before = after
+            except DynamicsCycleError as exc:
+                counts["cycles"] += 1
+                assert all(p._sums is None for p in exc.cycle)
+            else:
+                counts["ends"] += 1
+            assert init._sums is None
+        assert counts["steps"] > 1000 and min(counts.values()) >= 20, counts
+
+    def test_sums_carried_for_one_game_are_not_read_for_another(self):
+        rng = random.Random(3501)
+        for symmetric in (True, False):
+            g, b, init = self.case(rng, symmetric, lower=1)
+            other = random_game(rng, g.n, symmetric=symmetric)
+            for _, _, after in islice(dynamics_steps(g, b, init), 5):
+                plain = Partition(after.coalitions)
+                for concept in ALL_CONCEPTS:
+                    assert verify(other, after, b, concept) == verify(other, plain, b, concept)
+
+    def test_a_stable_start_is_returned_as_given(self):
+        b, p = SizeBounds(2, 3), Partition([[1, 2], [3, 4], [5, 6]])
+        assert symmetric_dynamics(intro_positive(3), b, p)[0] is p
+        assert p._sums is None
 
 
 def _coalitions(text):

@@ -10,7 +10,9 @@ so each relation checks an answer without enumerating anything:
   ``verify``'s verdict on pi(P) is its verdict on P.  Each oracle returns
   the first partition in canonical order that it looks for, so the other
   game's answer, mapped back, comes no earlier than the game's own;
-* scaled by k: every partition and every ``StabilityReport`` is identical.
+* scaled by k: every partition and every ``StabilityReport`` is identical,
+  and so is every solver's output and every dynamics trajectory, step for
+  step, with each step's gain multiplied by k.
 
 A third of the games are built from classes of twins, so the twin rule of
 ``exact`` prunes under another leader order after each relabelling, and a
@@ -37,17 +39,25 @@ import pytest
 from sizedhedonic import (
     ALL_CONCEPTS,
     Concept,
+    DynamicsCycleError,
     EnumerationBudget,
     Game,
     MMMInstance,
     Partition,
     SizeBounds,
     X3CInstance,
+    aziz_reference,
+    cis_star_nonneg,
+    cis_star_nonzero,
+    cis_upper,
+    cns_pairs,
+    dynamics_steps,
     exists_stable,
     feasible_partition_exists,
     max_welfare_partition,
     mmm_to_ns_is,
     social_welfare,
+    symmetric_dynamics,
     verify,
     witness_partition,
     x3c_to_cns,
@@ -156,6 +166,53 @@ def test_relabelling_and_scaling_keep_every_answer(seed, turn):
             report = verify(game, p, bounds, concept)
             assert verify(other, mapped(p, pi), bounds, concept).stable == report.stable
             assert verify(big, p, bounds, concept) == report
+
+
+def trajectory(game: Game, bounds: SizeBounds, start: Partition) -> tuple[list, tuple | None]:
+    """Each dynamics step as (deviation, gain, partition), and the cycle it ends in, if any."""
+    steps = []
+    try:
+        steps.extend(dynamics_steps(game, bounds, start))
+    except DynamicsCycleError as exc:
+        return steps, exc.cycle
+    return steps, None
+
+
+def feasible_bounds(rng: random.Random, n: int, lower: int) -> SizeBounds:
+    while True:
+        bounds = SizeBounds(lower, rng.randint(max(2, lower), lower + 3))
+        if feasible_partition_exists(n, bounds):
+            return bounds
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_scaling_keeps_every_solver_output_and_dynamics_step(seed):
+    rng = random.Random(9500 + seed)
+    n, k = rng.randint(4, 24), rng.randint(2, 5)
+    upper = rng.randint(2, 5)
+    for signs in ({}, {"nonzero": True}, {"nonneg": True}):
+        game = random_game(rng, n, **signs)
+        big = scaled(game, k)
+        assert cis_upper(big, upper) == cis_upper(game, upper)
+        assert cns_pairs(big) == cns_pairs(game)
+        assert aziz_reference(big) == aziz_reference(game)
+        bounds = feasible_bounds(rng, n, rng.randint(2, 3))
+        count = rng.randint(1, n // bounds.lower)
+        for solver, holds in ((cis_star_nonzero, game.is_nonzero), (cis_star_nonneg, game.is_nonnegative)):
+            if holds():
+                assert solver(big, bounds, count) == solver(game, bounds, count)
+    for symmetric in (True, False):
+        game = random_game(rng, n, symmetric=symmetric)
+        big = scaled(game, k)
+        for lower in (1, rng.randint(2, 3)):
+            bounds = feasible_bounds(rng, n, lower)
+            start = random_feasible_partition(rng, n, bounds)
+            steps, cycle = trajectory(game, bounds, start)
+            assert trajectory(big, bounds, start) == (
+                [(move, k * gain, after) for move, gain, after in steps], cycle
+            )
+            if symmetric:
+                assert symmetric_dynamics(big, bounds, start) == (steps[-1][2] if steps else start, len(steps))
 
 
 def shuffled(rng: random.Random, count: int) -> list[int]:

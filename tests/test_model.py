@@ -48,6 +48,23 @@ class TestGame:
             enumerate_partitions(n, SizeBounds(1, 2))
         with pytest.raises(ValueError, match=message):
             singleton_partition(n)
+        # the feasibility arithmetic answers for integer counts only
+        with pytest.raises(ValueError, match=message):
+            feasible_partition_exists(n, SizeBounds(2, 3))
+        with pytest.raises(ValueError, match=message):
+            feasible_k_partition_exists(n, 2, SizeBounds(2, 3))
+        with pytest.raises(ValueError, match="^agent"):  # no iterable, or no integer ids
+            greedy_feasible_partition(n, SizeBounds(2, 3))
+
+    @pytest.mark.parametrize("agents", [6.0, -1, None, [1, 2.0], ["1", "2"]])
+    def test_greedy_partition_needs_integer_ids(self, agents):
+        if isinstance(agents, list):
+            bad = next(a for a in agents if type(a) is not int)
+            message = f"^agent ids must be integers, got {re.escape(repr(bad))}$"
+        else:
+            message = f"^agents must be an iterable of agent ids, got {re.escape(repr(agents))}$"
+        with pytest.raises(ValueError, match=message):
+            greedy_feasible_partition(agents, SizeBounds(2, 3))
 
     def test_negative_agent_count_rejected(self):
         with pytest.raises(ValueError, match="^agent count must be nonnegative$"):
@@ -56,6 +73,12 @@ class TestGame:
             enumerate_partitions(-1, SizeBounds(1, 2))
         with pytest.raises(ValueError, match="^agent count must be nonnegative$"):
             singleton_partition(-1)
+        with pytest.raises(ValueError, match="^agent count must be nonnegative$"):
+            feasible_partition_exists(-1, SizeBounds(1, 2))
+        message = "^agent count and coalition count must be nonnegative$"
+        for n, k in ((-1, 1), (1, -1)):
+            with pytest.raises(ValueError, match=message):
+                feasible_k_partition_exists(n, k, SizeBounds(1, 2))
 
     @pytest.mark.parametrize("w", [1.5, True, "2"])
     def test_non_integer_valuation_rejected(self, w):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +74,11 @@ class TestTopSet:
     def test_short_pool_returned_whole(self):
         g = aziz_failure()
         assert top_set(g, 3, {1, 2}, 5) == [1, 2]
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, True, "2", None])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {re.escape(repr(k))}$"):
+            top_set(Game(6), 1, [2, 3], k)
 
     def test_cardinality_and_exclusion(self, rng):
         for _ in range(200):
